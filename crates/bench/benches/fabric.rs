@@ -12,7 +12,7 @@ use nifdy_harness::NetworkKind;
 use nifdy_net::Fabric;
 use nifdy_sim::NodeId;
 use nifdy_trace::json::Json;
-use nifdy_traffic::{Engine, NicChoice, ScanConfig, Scenario, SoftwareModel};
+use nifdy_traffic::{NicChoice, ScanConfig, Scenario, SoftwareModel};
 
 const NODES: usize = 64;
 const SNAPSHOT_STEPS: u64 = 20_000;
@@ -68,16 +68,15 @@ fn timed_cell(kind: NetworkKind) -> (Duration, u64) {
     (start.elapsed(), delivered)
 }
 
-/// One full-scale fig9 radix-scan cell driven end to end under `engine`;
-/// returns (simulated cycles, driver-stepped cycles, wall time).
-fn scan_cell(delay: u64, engine: Engine) -> (u64, u64, Duration) {
+/// One full-scale fig9 radix-scan cell driven end to end; returns
+/// (simulated cycles, wall time).
+fn scan_cell(delay: u64) -> (u64, Duration) {
     let kind = NetworkKind::FatTree;
     let sw = SoftwareModel::cm5_library(!kind.reorders());
     let mut d = Scenario::new(kind)
         .seed(1)
         .nic(NicChoice::Plain)
         .software(sw)
-        .engine(engine)
         .build_with(|sc| {
             ScanConfig::radix8(sc.sw())
                 .with_delay(delay)
@@ -86,34 +85,24 @@ fn scan_cell(delay: u64, engine: Engine) -> (u64, u64, Duration) {
         .expect("fig9 scan cell builds");
     let start = Instant::now();
     assert!(d.run_until_quiet(1_000_000_000), "scan cell must finish");
-    (
-        d.fabric().now().as_u64(),
-        d.cycles_stepped(),
-        start.elapsed(),
-    )
+    (d.fabric().now().as_u64(), start.elapsed())
 }
 
-/// Cycle-vs-event engine comparison on representative fig9 full-scale
-/// cells: the saturated radix scan (delay 0) and the sparser delayed scan.
-/// Records simulated-cycles/sec for each engine so the bench gate tracks
-/// end-to-end simulator throughput, not just raw fabric stepping.
-fn engine_cells() -> Vec<(String, Json)> {
+/// Representative fig9 full-scale cells: the saturated radix scan
+/// (delay 0) and the sparser delayed scan. Records simulated-cycles/sec so
+/// the bench gate tracks end-to-end simulator throughput, not just raw
+/// fabric stepping; the simulated clock is a deterministic work counter.
+fn scan_cells() -> Vec<(String, Json)> {
     let mut cells = Vec::new();
     for (label, delay) in [("scan-none-0", 0u64), ("scan-none-60", 60u64)] {
-        let (cc, cs, cw) = scan_cell(delay, Engine::Cycle);
-        let (ec, es, ew) = scan_cell(delay, Engine::Event);
-        assert_eq!(cc, ec, "engines must agree on the simulated clock");
-        let (cwall, ewall) = (cw.as_secs_f64().max(1e-9), ew.as_secs_f64().max(1e-9));
+        let (cycles, wall) = scan_cell(delay);
+        let secs = wall.as_secs_f64().max(1e-9);
         cells.push((
             label.to_string(),
             Json::obj([
-                ("cycles", Json::u64(cc)),
-                ("cycle_stepped", Json::u64(cs)),
-                ("event_stepped", Json::u64(es)),
-                ("cycle_wall_ms", Json::Num(cwall * 1e3)),
-                ("event_wall_ms", Json::Num(ewall * 1e3)),
-                ("cycle_cycles_per_sec", Json::Num(cc as f64 / cwall)),
-                ("event_cycles_per_sec", Json::Num(ec as f64 / ewall)),
+                ("cycles", Json::u64(cycles)),
+                ("wall_ms", Json::Num(secs * 1e3)),
+                ("cycles_per_sec", Json::Num(cycles as f64 / secs)),
             ]),
         ));
     }
@@ -141,7 +130,7 @@ fn emit_snapshot() {
         ("bench", Json::str("fabric")),
         ("nodes", Json::u64(NODES as u64)),
         ("topologies", Json::Obj(cells.into_iter().collect())),
-        ("engines", Json::Obj(engine_cells().into_iter().collect())),
+        ("scan", Json::Obj(scan_cells().into_iter().collect())),
     ]);
     let path = std::env::var("BENCH_FABRIC_JSON")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fabric.json").into());

@@ -6,7 +6,7 @@
 //! * [`run_loadsweep`] — the §1 *operating range* curve: delivered
 //!   throughput and latency as offered load rises, with and without NIFDY.
 
-use nifdy_traffic::{NetworkKind, NicChoice, OpenLoopConfig, SyntheticConfig};
+use nifdy_traffic::{NetworkKind, NicChoice, OpenLoopConfig, Scenario, SyntheticConfig};
 
 use crate::exec::{self, Jobs};
 use crate::report::Table;
@@ -31,7 +31,7 @@ fn synthetic_cell(adaptive: bool, choice: &NicChoice, heavy: bool, scale: Scale,
     } else {
         NetworkKind::Mesh2D
     };
-    let mut d = crate::scenario(kind)
+    let mut d = Scenario::new(kind)
         .seed(seed)
         .nic(choice.clone())
         .build_with(|sc| {
@@ -139,7 +139,7 @@ pub fn run_loadsweep(scale: Scale, seed: u64, jobs: Jobs) -> (Table, Vec<LoadPoi
         }
     }
     let points = exec::map(jobs, cells, |(interval, label, choice, s), _| {
-        let mut d = crate::scenario(NetworkKind::Mesh2D)
+        let mut d = Scenario::new(NetworkKind::Mesh2D)
             .seed(s)
             .nic(choice.clone())
             .build_with(|sc| OpenLoopConfig::new(interval, sc.seed()).build(sc.nodes()))

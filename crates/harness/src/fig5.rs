@@ -8,7 +8,7 @@
 //! persist without NIFDY and dissipate with it.
 
 use nifdy_sim::NodeId;
-use nifdy_traffic::{CShiftConfig, NetworkKind, NicChoice, SoftwareModel};
+use nifdy_traffic::{CShiftConfig, NetworkKind, NicChoice, Scenario, SoftwareModel};
 
 use crate::exec::{self, Jobs};
 use crate::report::heat_map;
@@ -44,7 +44,7 @@ pub fn run_one(choice: &NicChoice, scale: Scale, seed: u64) -> CongestionTrace {
     let nodes = 32;
     let sw = SoftwareModel::cm5_library(false);
     let words = words_for(scale);
-    let mut driver = crate::scenario(NetworkKind::Cm5)
+    let mut driver = Scenario::new(NetworkKind::Cm5)
         .nodes(nodes)
         .seed(seed)
         .nic(choice.clone())

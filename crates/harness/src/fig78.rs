@@ -5,7 +5,7 @@
 //! mesh and the butterfly), the library intended for in-order delivery was
 //! used for all runs."
 
-use nifdy_traffic::{Em3dParams, NetworkKind, NicChoice, SoftwareModel};
+use nifdy_traffic::{Em3dParams, NetworkKind, NicChoice, Scenario, SoftwareModel};
 
 use crate::exec::{self, Jobs};
 use crate::report::Table;
@@ -53,7 +53,7 @@ pub fn run_cell(
         }
     }
     let iters = params.iters;
-    let mut driver = crate::scenario(kind)
+    let mut driver = Scenario::new(kind)
         .seed(seed)
         .nic(choice.clone())
         .software(sw)

@@ -3,7 +3,7 @@
 //! plus the §4.5 coalesce-phase observation ("results were virtually
 //! identical with and without NIFDY").
 
-use nifdy_traffic::{CoalesceConfig, NetworkKind, NicChoice, ScanConfig, SoftwareModel};
+use nifdy_traffic::{CoalesceConfig, NetworkKind, NicChoice, ScanConfig, Scenario, SoftwareModel};
 
 use crate::exec::{self, Jobs};
 use crate::report::Table;
@@ -32,7 +32,7 @@ pub struct ScanPoint {
 /// Runs one scan-phase cell on 64 processors with an 8-bit radix.
 pub fn run_scan(kind: NetworkKind, choice: &NicChoice, delay: u64, scale: Scale, seed: u64) -> u64 {
     let sw = SoftwareModel::cm5_library(!kind.reorders());
-    let mut driver = crate::scenario(kind)
+    let mut driver = Scenario::new(kind)
         .seed(seed)
         .nic(choice.clone())
         .software(sw)
@@ -50,7 +50,7 @@ pub fn run_scan(kind: NetworkKind, choice: &NicChoice, delay: u64, scale: Scale,
 /// Runs the coalesce phase (random single-packet key sends).
 pub fn run_coalesce(kind: NetworkKind, choice: &NicChoice, scale: Scale, seed: u64) -> u64 {
     let sw = SoftwareModel::cm5_library(!kind.reorders());
-    let mut driver = crate::scenario(kind)
+    let mut driver = Scenario::new(kind)
         .seed(seed)
         .nic(choice.clone())
         .software(sw)

@@ -16,12 +16,6 @@
 //! across that many threads via [`exec::map`], reassembling tables in
 //! canonical order so the output is byte-identical at any job count.
 //!
-//! The binary's `--engine {cycle,event}` flag selects the stepping engine
-//! ([`set_engine`]) for every cell: `event` runs the skip-ahead kernel,
-//! which produces byte-identical tables (the equivalence suite in
-//! `nifdy-traffic` proves it) while stepping only the cycles where
-//! something can happen.
-//!
 //! # Examples
 //!
 //! ```
@@ -55,39 +49,6 @@ pub mod trace_guard;
 pub mod wire_cmd;
 
 pub use exec::{cell_seed, Jobs};
-pub use nifdy_traffic::{Engine, NetworkKind};
+pub use nifdy_traffic::NetworkKind;
 pub use report::{fault_summary, heat_map, percentile_table, Table};
 pub use scale::Scale;
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use nifdy_traffic::Scenario;
-
-/// Process-wide stepping-engine selection (the `--engine` flag). Workers
-/// read it through [`scenario`], so one `set_engine` call before running
-/// covers every cell of every figure.
-static ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the stepping engine for all subsequently built scenarios.
-pub fn set_engine(engine: Engine) {
-    let v = match engine {
-        Engine::Cycle => 0,
-        Engine::Event => 1,
-    };
-    ENGINE.store(v, Ordering::Relaxed);
-}
-
-/// The engine selected by [`set_engine`] (default [`Engine::Cycle`]).
-pub fn engine() -> Engine {
-    if ENGINE.load(Ordering::Relaxed) == 1 {
-        Engine::Event
-    } else {
-        Engine::Cycle
-    }
-}
-
-/// A [`Scenario`] on `kind` with the harness-wide engine applied; every
-/// figure runner builds its cells through this.
-pub fn scenario(kind: NetworkKind) -> Scenario {
-    Scenario::new(kind).engine(engine())
-}

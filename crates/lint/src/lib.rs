@@ -126,7 +126,7 @@ impl LintConfig {
     ///
     /// * the stepped datapaths — `NifdyUnit` (`step`/`poll`/`try_send`/
     ///   `next_event`/`has_deliverable`) and the fabric per-cycle loop
-    ///   (`Fabric::step`/`advance_to`/`next_event`) — demand panic- and
+    ///   (`Fabric::step`) — demand panic- and
     ///   alloc-freedom (flits live in the slab arena, bookkeeping in
     ///   preallocated deques);
     /// * the byte-facing wire surface — the codec free functions and the
@@ -168,8 +168,6 @@ impl LintConfig {
                 entry(Some("NifdyUnit"), "next_event", PANIC_ALLOC),
                 entry(Some("NifdyUnit"), "has_deliverable", PANIC_ALLOC),
                 entry(Some("Fabric"), "step", PANIC_ALLOC),
-                entry(Some("Fabric"), "advance_to", PANIC_ALLOC),
-                entry(Some("Fabric"), "next_event", PANIC_ALLOC),
                 entry(None, "decode", PANIC_INDEX),
                 entry(None, "decode_frame", PANIC_INDEX),
                 entry(None, "peek_route", PANIC_INDEX),

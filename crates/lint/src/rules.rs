@@ -800,7 +800,7 @@ pub fn r8_no_wildcard(file: &SourceFile, scope: &WildcardScope, out: &mut Vec<Di
 /// Calls that step protocol state machines; holding a `Mutex` guard
 /// across one risks deadlock (step paths may take the same locks) and
 /// couples lock hold time to protocol work.
-const STEPPED_CALLS: [&str; 4] = [".step(", ".advance(", ".advance_to(", ".poll_round("];
+const STEPPED_CALLS: [&str; 3] = [".step(", ".advance(", ".poll_round("];
 
 /// R9 — lock discipline in the `Send` stack.
 ///

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 use nifdy_sim::metrics::{Counter, LogHistogram, Stats};
 
-use nifdy_sim::{Cycle, NodeId, SimRng, Slab, SlabKey, Wakeup};
+use nifdy_sim::{Cycle, NodeId, SimRng, Slab, SlabKey};
 use nifdy_trace::{trace_event, DropReason, EventKind, TraceHandle};
 
 use crate::config::{FabricConfig, SwitchingPolicy};
@@ -474,37 +474,6 @@ impl Fabric {
     pub fn ready_len(&self, node: NodeId) -> usize {
         let n = &self.nodes[node.index()];
         n.ready[0].len() + n.ready[1].len()
-    }
-
-    /// When the fabric next needs stepping. Router arbitration rotates with
-    /// the cycle number and time-multiplexed links advance by cycle parity,
-    /// so an active fabric (any worm in flight or packet awaiting ejection)
-    /// must be stepped every cycle: `Now` whenever [`Self::in_network`] is
-    /// non-zero, `Quiescent` otherwise. An empty fabric's step is a pure
-    /// clock tick, which [`Self::advance_to`] performs in one jump.
-    #[inline]
-    pub fn next_event(&self) -> Wakeup {
-        if self.in_network() > 0 {
-            Wakeup::Now
-        } else {
-            Wakeup::Quiescent
-        }
-    }
-
-    /// Jumps the clock to `t` without stepping the cycles in between.
-    ///
-    /// Only valid while the fabric is quiescent ([`Self::in_network`] is
-    /// zero): each skipped step would have been exactly `now += 1`, so the
-    /// jump is observationally identical to stepping — same RNG stream
-    /// (the drop lottery only draws at deliveries), same arbitration state.
-    /// Calls with `t <= now` or on an active fabric are ignored (debug
-    /// builds assert).
-    pub fn advance_to(&mut self, t: Cycle) {
-        debug_assert_eq!(self.in_network(), 0, "cannot skip over an active fabric");
-        debug_assert!(t >= self.now, "clock may only move forward");
-        if self.in_network() == 0 && t > self.now {
-            self.now = t;
-        }
     }
 
     /// Packets currently bound for (or queued at) `dst` — the Figure 5

@@ -1,11 +1,12 @@
 //! The stepping contract for event-driven simulation.
 //!
-//! Every steppable component (NIC, fabric, processor workload, watchdog)
-//! reports, via `next_event(&self, now) -> Wakeup`, when it next needs a
-//! stepped cycle. A driver that sees no component reporting [`Wakeup::Now`]
-//! may jump the clock straight to the earliest [`Wakeup::At`] deadline —
-//! every skipped cycle is, by the contract below, a no-op for every
-//! component, so traces, statistics and delivery orders are byte-identical
+//! A steppable component (a NIC, a wire endpoint, a supervisor) reports,
+//! via `next_event(&self, now) -> Wakeup`, when it next needs a stepped
+//! cycle. A driver may skip stepping the component until that wakeup
+//! (the simulation driver gates each node on it), or — when no component
+//! reports [`Wakeup::Now`] — jump the clock straight to the earliest
+//! [`Wakeup::At`] deadline: every skipped step is, by the contract below,
+//! a no-op, so traces, statistics and delivery orders are byte-identical
 //! to stepping each cycle explicitly.
 //!
 //! The contract a component must uphold:

@@ -6,45 +6,8 @@ use nifdy_net::Fabric;
 use nifdy_sim::{Cycle, NodeId, StallWatchdog, Wakeup};
 use nifdy_trace::{trace_event, EventKind, MetricsRegistry, TraceHandle};
 
-use crate::processor::{NodeWorkload, ProcEvent, ProcWake, Processor};
+use crate::processor::{NodeWorkload, ProcEvent, Processor};
 use crate::SoftwareModel;
-
-/// How the driver advances simulated time.
-///
-/// Both engines produce **identical** observable behaviour — delivery
-/// orders, statistics, traces, gauges, final clocks. The event engine is
-/// purely a performance feature: it skips stretches where every component
-/// has declared (via [`Wakeup`]) that stepping would be a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Step every component every cycle (the reference semantics).
-    #[default]
-    Cycle,
-    /// Event-driven skip-ahead: compute the earliest wakeup across NICs,
-    /// processors, workloads, the fabric, and the stall watchdog; when
-    /// nothing is due, jump the clock to it (batching the empty polls and
-    /// gauge samples the skipped cycles would have produced).
-    Event,
-}
-
-impl Engine {
-    /// Parses a CLI-facing engine name (`cycle` / `event`).
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "cycle" => Some(Engine::Cycle),
-            "event" => Some(Engine::Event),
-            _ => None,
-        }
-    }
-
-    /// The CLI-facing name (`cycle` / `event`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Engine::Cycle => "cycle",
-            Engine::Event => "event",
-        }
-    }
-}
 
 /// Which network interface model to attach to every node — the three
 /// configurations the paper compares.
@@ -138,11 +101,10 @@ pub struct Driver {
     trace: TraceHandle,
     metrics: Option<MetricsRegistry>,
     gauge_period: u64,
-    engine: Engine,
     cycles_stepped: u64,
     /// Per-node gate: strictly before this cycle, stepping node `i`'s
     /// processor and NIC is a proven no-op (absent packets waiting for it
-    /// in the fabric), so [`step_cycle`](Self::step_cycle) skips them.
+    /// in the fabric), so [`step`](Self::step) skips them.
     /// Recomputed every time the node actually steps; conservative values
     /// (too early) only cost extra no-op steps.
     node_due: Vec<Cycle>,
@@ -181,27 +143,14 @@ impl Driver {
             trace: TraceHandle::off(),
             metrics: None,
             gauge_period: 1_000,
-            engine: Engine::default(),
             cycles_stepped: 0,
             node_due: vec![Cycle::ZERO; n],
         })
     }
 
-    /// Selects the stepping engine (default [`Engine::Cycle`]). The event
-    /// engine produces byte-identical results; see [`Engine`].
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The stepping engine in use.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
-    /// Cycles that were stepped for real (as opposed to skipped by the
-    /// event engine). Under [`Engine::Cycle`] this equals elapsed time;
-    /// the gap between the two is the event engine's work saved.
+    /// Cycles stepped so far. Every cycle is stepped (per-node gating
+    /// skips idle nodes inside a cycle, never whole cycles), so this equals
+    /// the elapsed simulated time.
     pub fn cycles_stepped(&self) -> u64 {
         self.cycles_stepped
     }
@@ -306,36 +255,11 @@ impl Driver {
         self.procs.iter().map(|p| p.stats().user_words.get()).sum()
     }
 
-    /// Advances the simulation by one cycle.
-    ///
-    /// A thin wrapper over [`advance`](Self::advance): both engines go
-    /// through the same machinery, the cycle engine simply never skips.
-    pub fn step(&mut self) {
-        let next = self.fab.now() + 1;
-        self.advance(next);
-    }
-
     /// Advances simulated time to exactly `until` (no-op when already
-    /// there). Under [`Engine::Cycle`] this steps every cycle; under
-    /// [`Engine::Event`] quiet stretches are jumped in one burst.
+    /// there), stepping every cycle.
     pub fn advance(&mut self, until: Cycle) {
         while self.fab.now() < until {
-            match self.engine {
-                Engine::Cycle => self.step_cycle(),
-                Engine::Event => self.event_burst(until),
-            }
-        }
-    }
-
-    /// One burst of progress toward `until`: a single stepped cycle, or —
-    /// for the event engine — possibly a multi-cycle skip. Always moves
-    /// time forward. Used by [`advance`](Self::advance) and by
-    /// [`run_until_quiet`](Self::run_until_quiet), which must observe the
-    /// simulation between bursts.
-    fn advance_burst(&mut self, until: Cycle) {
-        match self.engine {
-            Engine::Cycle => self.step_cycle(),
-            Engine::Event => self.event_burst(until),
+            self.step();
         }
     }
 
@@ -370,11 +294,12 @@ impl Driver {
         self.node_due[i] > now && self.fab.ready_len(NodeId::new(i)) == 0
     }
 
-    /// The reference semantics: step every component through one cycle.
-    /// Nodes provably idle this cycle ([`node_gated`](Self::node_gated))
-    /// are skipped — their step would be a no-op, so results are
-    /// bit-for-bit those of stepping everyone.
-    fn step_cycle(&mut self) {
+    /// Advances the simulation by one cycle: every processor, then every
+    /// NIC, then the fabric. Nodes provably idle this cycle — inside a
+    /// processor delay, before their NIC's next wakeup, with no packet
+    /// waiting in the fabric — are skipped: their step would be a no-op, so
+    /// results are bit-for-bit those of stepping everyone.
+    pub fn step(&mut self) {
         self.cycles_stepped += 1;
         let now = self.fab.now();
         if self.metrics.is_some() && now.as_u64().is_multiple_of(self.gauge_period) {
@@ -382,8 +307,8 @@ impl Driver {
         }
         // A due stall deadline disables gating for the cycle: the watchdog
         // only accrues observations on stepped nodes, so the firing cycle
-        // must step (and thus observe) everyone, exactly like the ungated
-        // engine would.
+        // must step (and thus observe) everyone, exactly like ungated
+        // stepping would.
         let dog_due = self
             .watchdog
             .as_ref()
@@ -444,83 +369,6 @@ impl Driver {
         self.fab.step();
     }
 
-    /// One event-engine burst toward `until` (which must be in the
-    /// future): steps the next cycle for real when anything could do
-    /// observable work, otherwise jumps the clock to the earliest wakeup.
-    ///
-    /// The skip is sound because every component's [`Wakeup`] answer is a
-    /// promise that stepping it before the wakeup is a no-op absent new
-    /// input — and inside the window there is no new input: the fabric is
-    /// empty (else it reports `Now`), no NIC acts, and the only processor
-    /// activity is empty polling, which is replayed in batch.
-    fn event_burst(&mut self, until: Cycle) {
-        let now = self.fab.now();
-        debug_assert!(now < until);
-        // An active fabric (worms in flight or packets awaiting ejection)
-        // can make progress every cycle.
-        if self.fab.next_event().is_due(now) {
-            self.step_cycle();
-            return;
-        }
-        // Barrier release is a driver-level event: it fires the first
-        // cycle every participant is blocked or done.
-        let any_waiting = self.procs.iter().any(|p| p.in_barrier());
-        if any_waiting && self.procs.iter().all(|p| p.in_barrier() || p.is_done()) {
-            self.step_cycle();
-            return;
-        }
-        let mut wake = Wakeup::Quiescent;
-        for nic in &self.nics {
-            wake = wake.earliest(nic.next_event(now));
-        }
-        let mut any_polling = false;
-        for (i, p) in self.procs.iter().enumerate() {
-            match p.classify(self.nics[i].as_ref(), self.wls[i].as_ref(), now) {
-                ProcWake::Step => {
-                    self.step_cycle();
-                    return;
-                }
-                ProcWake::Busy(t) => wake = wake.earliest(Wakeup::At(t)),
-                ProcWake::Polling(deadline) => {
-                    any_polling = true;
-                    if let Some(t) = deadline {
-                        wake = wake.earliest(Wakeup::At(t));
-                    }
-                }
-            }
-        }
-        // Stall-detection deadlines are explicit wakeups: a wedged node is
-        // caught at the same cycle the per-cycle engine would catch it.
-        if let Some(dog) = &self.watchdog {
-            if let Some(t) = dog.next_deadline() {
-                wake = wake.earliest(Wakeup::at_or_now(t, now));
-            }
-        }
-        if wake.is_due(now) {
-            self.step_cycle();
-            return;
-        }
-        // Nothing observable happens in [now, t): replay the empty polls,
-        // emit the gauges the skipped cycles would have sampled (their
-        // inputs are frozen across the window), and jump.
-        let t = wake.deadline_or(now, until);
-        debug_assert!(t > now);
-        if any_polling {
-            for p in &mut self.procs {
-                p.batch_idle_polls(now, t);
-            }
-        }
-        if self.metrics.is_some() {
-            let period = self.gauge_period;
-            let mut m = now.as_u64().next_multiple_of(period);
-            while m < t.as_u64() {
-                self.emit_gauges(Cycle::new(m));
-                m += period;
-            }
-        }
-        self.fab.advance_to(t);
-    }
-
     /// Whether every workload has finished and the network has drained.
     fn is_quiet(&self) -> bool {
         self.procs.iter().all(|p| p.is_done())
@@ -550,18 +398,11 @@ impl Driver {
     /// Runs until every workload has finished and the network has drained,
     /// or `limit` cycles elapse. Returns `true` on completion.
     ///
-    /// Both engines return with the same final clock: quiescence is
-    /// observed after a stepped cycle, and event-engine bursts only skip
-    /// windows in which the quiet predicate cannot change.
+    /// Quiescence is observed after a stepped cycle, so a driver that is
+    /// already quiet still steps once before returning.
     pub fn run_until_quiet(&mut self, limit: u64) -> bool {
-        if self.fab.now().as_u64() < limit && self.is_quiet() {
-            // Already quiet on entry: the cycle engine still steps once
-            // before observing it, so match that clock.
-            self.step();
-            return true;
-        }
         while self.fab.now().as_u64() < limit {
-            self.advance_burst(Cycle::new(limit));
+            self.step();
             if self.is_quiet() {
                 return true;
             }
@@ -831,5 +672,509 @@ mod tests {
             "buffers"
         );
         assert_eq!(NicChoice::Nifdy(NifdyConfig::mesh()).label(), "nifdy");
+    }
+
+    /// Differential check of the per-node gate. Every simulation here is
+    /// built twice: one copy runs through the driver's own loops (gated),
+    /// the other through a reference loop that clears `node_due` before
+    /// every [`Driver::step`], so every processor and NIC steps every
+    /// cycle. Delivery logs, statistics, typed failures, gauges, trace
+    /// streams and final clocks must all match.
+    mod gating {
+        use super::*;
+        use std::sync::{Arc, Mutex};
+
+        use nifdy::{Delivered, DeliveryFailure, NifdyConfig, OutboundPacket};
+        use nifdy_net::topology::Mesh;
+        use nifdy_net::{Fabric, FabricConfig, FaultConfig, GilbertElliott, LinkWindow, UserData};
+
+        use crate::{
+            CShiftConfig, CoalesceConfig, NetworkKind, ScanConfig, Scenario, SyntheticConfig,
+        };
+
+        /// One received packet: (cycle, receiver, sender, msg_id, pkt_index).
+        type Delivery = (u64, usize, usize, u64, u32);
+        type Log = Arc<Mutex<Vec<Delivery>>>;
+
+        /// How a run advances the clock.
+        #[derive(Debug, Clone, Copy)]
+        enum Stepping {
+            /// The driver's own loops, gate active.
+            Gated,
+            /// A reference loop that disarms the gate before every step.
+            Ungated,
+        }
+
+        impl Stepping {
+            fn advance(self, d: &mut Driver, until: Cycle) {
+                match self {
+                    Stepping::Gated => d.advance(until),
+                    Stepping::Ungated => {
+                        while d.fab.now() < until {
+                            ungated_step(d);
+                        }
+                    }
+                }
+            }
+
+            fn run_until_quiet(self, d: &mut Driver, limit: u64) -> bool {
+                match self {
+                    Stepping::Gated => d.run_until_quiet(limit),
+                    Stepping::Ungated => {
+                        while d.fab.now().as_u64() < limit {
+                            ungated_step(d);
+                            if d.is_quiet() {
+                                return true;
+                            }
+                        }
+                        false
+                    }
+                }
+            }
+
+            fn run_sampled<F: FnMut(&Driver)>(
+                self,
+                d: &mut Driver,
+                cycles: u64,
+                period: u64,
+                mut sample: F,
+            ) {
+                match self {
+                    Stepping::Gated => d.run_sampled(cycles, period, sample),
+                    Stepping::Ungated => {
+                        let start = d.fab.now();
+                        let mut c = 0;
+                        while c < cycles {
+                            self.advance(d, start + c);
+                            sample(d);
+                            c += period;
+                        }
+                        self.advance(d, start + cycles);
+                    }
+                }
+            }
+        }
+
+        fn ungated_step(d: &mut Driver) {
+            d.node_due.fill(Cycle::ZERO);
+            d.step();
+        }
+
+        /// Wraps a workload so every reception is appended to a shared log.
+        struct Recording {
+            inner: Box<dyn NodeWorkload>,
+            node: usize,
+            log: Log,
+        }
+
+        impl NodeWorkload for Recording {
+            fn next_action(&mut self, now: Cycle) -> Action {
+                self.inner.next_action(now)
+            }
+            fn on_receive(&mut self, pkt: &Delivered, now: Cycle) {
+                self.log.lock().expect("log lock").push((
+                    now.as_u64(),
+                    self.node,
+                    pkt.src.index(),
+                    pkt.user.msg_id,
+                    pkt.user.pkt_index,
+                ));
+                self.inner.on_receive(pkt, now);
+            }
+        }
+
+        fn record_all(wls: Vec<Box<dyn NodeWorkload>>, log: &Log) -> Vec<Box<dyn NodeWorkload>> {
+            wls.into_iter()
+                .enumerate()
+                .map(|(node, inner)| -> Box<dyn NodeWorkload> {
+                    Box::new(Recording {
+                        inner,
+                        node,
+                        log: Arc::clone(log),
+                    })
+                })
+                .collect()
+        }
+
+        /// A scripted workload driven from a vector of actions.
+        struct Script(std::vec::IntoIter<Action>);
+
+        impl Script {
+            fn boxed(actions: Vec<Action>) -> Box<dyn NodeWorkload> {
+                Box::new(Script(actions.into_iter()))
+            }
+        }
+
+        impl NodeWorkload for Script {
+            fn next_action(&mut self, _now: Cycle) -> Action {
+                self.0.next().unwrap_or(Action::Done)
+            }
+            fn on_receive(&mut self, _pkt: &Delivered, _now: Cycle) {}
+        }
+
+        /// Everything observable about one finished run. Statistics are
+        /// compared through their `Debug` forms so every counter (and the
+        /// fabric's latency histogram) takes part.
+        #[derive(Debug, PartialEq)]
+        struct RunRecord {
+            final_now: u64,
+            cycles_stepped: u64,
+            completed: Option<bool>,
+            deliveries: Vec<Delivery>,
+            stats: Vec<String>,
+            failures: Vec<DeliveryFailure>,
+            gauges: Option<String>,
+        }
+
+        fn observe(d: &Driver, completed: Option<bool>, log: &Log) -> RunRecord {
+            let mut stats = vec![format!(
+                "{:?} in flight {}",
+                d.fab.stats(),
+                d.fab.in_network()
+            )];
+            for (p, nic) in d.procs.iter().zip(&d.nics) {
+                stats.push(format!("{:?} {:?}", p.stats(), nic.stats()));
+            }
+            RunRecord {
+                final_now: d.fab.now().as_u64(),
+                cycles_stepped: d.cycles_stepped(),
+                completed,
+                deliveries: log.lock().expect("log lock").clone(),
+                stats,
+                failures: d.failures.clone(),
+                gauges: d.metrics().map(|reg| reg.to_json().render()),
+            }
+        }
+
+        /// Builds the simulation described by `build` twice, drives one copy
+        /// gated and one ungated through `run`, and asserts the full
+        /// observation records match.
+        fn assert_gating_is_invisible<B, R>(label: &str, build: B, run: R)
+        where
+            B: Fn(&Log) -> Driver,
+            R: Fn(Stepping, &mut Driver) -> Option<bool>,
+        {
+            let run_one = |mode: Stepping| {
+                let log = Log::default();
+                let mut d = build(&log);
+                let completed = run(mode, &mut d);
+                observe(&d, completed, &log)
+            };
+            let gated = run_one(Stepping::Gated);
+            let ungated = run_one(Stepping::Ungated);
+            assert_eq!(gated, ungated, "gating changed the run on {label}");
+            assert_eq!(gated.cycles_stepped, gated.final_now, "{label}");
+        }
+
+        #[test]
+        fn synthetic_patterns_match() {
+            // RNG-driven workloads on three topologies, sampled gauges on.
+            for (kind, nodes, heavy) in [
+                (NetworkKind::Mesh2D, 16, true),
+                (NetworkKind::Cm5, 32, false),
+                (NetworkKind::Torus2D, 16, false),
+            ] {
+                assert_gating_is_invisible(
+                    &format!("synthetic on {kind:?}"),
+                    |log| {
+                        Scenario::new(kind)
+                            .nodes(nodes)
+                            .seed(41)
+                            .nic(NicChoice::Nifdy(kind.nifdy_preset()))
+                            .metrics(500)
+                            .build_with(|sc| {
+                                let cfg = if heavy {
+                                    SyntheticConfig::heavy(sc.seed())
+                                } else {
+                                    SyntheticConfig::light(sc.seed())
+                                };
+                                record_all(cfg.build(sc.nodes()), log)
+                            })
+                            .expect("valid scenario")
+                    },
+                    |mode, d| {
+                        mode.advance(d, Cycle::new(25_000));
+                        None
+                    },
+                );
+            }
+        }
+
+        #[test]
+        fn radix_scan_with_compute_delays_matches() {
+            // The fig9 scan pipeline: a token crawling the ring with charged
+            // inter-send delays, so most nodes sit gated most of the time.
+            for choice in [
+                NicChoice::Plain,
+                NicChoice::BuffersOnly(NifdyConfig::mesh()),
+                NicChoice::Nifdy(NifdyConfig::mesh()),
+            ] {
+                assert_gating_is_invisible(
+                    &format!("scan with {}", choice.label()),
+                    |log| {
+                        Scenario::new(NetworkKind::Mesh2D)
+                            .nodes(4)
+                            .seed(5)
+                            .nic(choice.clone())
+                            .metrics(1_000)
+                            .build_with(|sc| {
+                                record_all(
+                                    ScanConfig::radix8(sc.sw())
+                                        .with_delay(400)
+                                        .build(sc.nodes()),
+                                    log,
+                                )
+                            })
+                            .expect("valid scenario")
+                    },
+                    |mode, d| Some(mode.run_until_quiet(d, 5_000_000)),
+                );
+            }
+        }
+
+        #[test]
+        fn barrier_releases_match() {
+            // Barrier release rewrites every waiting processor's delay under
+            // the gate: the inter-phase barriers of C-shift and the ring
+            // exchange's mid-run barrier.
+            for choice in [NicChoice::Plain, NicChoice::Nifdy(NifdyConfig::cm5())] {
+                assert_gating_is_invisible(
+                    &format!("c-shift with barriers, {}", choice.label()),
+                    |log| {
+                        Scenario::new(NetworkKind::Cm5)
+                            .nodes(32)
+                            .seed(7)
+                            .nic(choice.clone())
+                            .software(SoftwareModel::cm5_library(false))
+                            .barrier_cost(100)
+                            .build_with(|sc| {
+                                record_all(
+                                    CShiftConfig::new(32, sc.sw())
+                                        .with_barriers(true)
+                                        .build(sc.nodes()),
+                                    log,
+                                )
+                            })
+                            .expect("valid scenario")
+                    },
+                    |mode, d| Some(mode.run_until_quiet(d, 5_000_000)),
+                );
+            }
+            assert_gating_is_invisible(
+                "ring exchange with a barrier",
+                |log| {
+                    let mut d = ring_driver(NicChoice::Nifdy(NifdyConfig::mesh()));
+                    d.wls = record_all(std::mem::take(&mut d.wls), log);
+                    d
+                },
+                |mode, d| Some(mode.run_until_quiet(d, 3_000_000)),
+            );
+        }
+
+        #[test]
+        fn coalesce_and_random_sweep_match() {
+            // Breadth: random destinations over several seeds, topologies
+            // and interfaces, run to completion.
+            for seed in [3u64, 17, 92] {
+                for kind in [NetworkKind::Mesh2D, NetworkKind::FatTree] {
+                    for choice in [NicChoice::Plain, NicChoice::Nifdy(kind.nifdy_preset())] {
+                        assert_gating_is_invisible(
+                            &format!("coalesce seed {seed} on {kind:?} with {}", choice.label()),
+                            |log| {
+                                Scenario::new(kind)
+                                    .nodes(16)
+                                    .seed(seed)
+                                    .nic(choice.clone())
+                                    .build_with(|sc| {
+                                        let cfg = CoalesceConfig {
+                                            keys_per_node: 24,
+                                            seed: sc.seed(),
+                                            sw: sc.sw(),
+                                        };
+                                        record_all(cfg.build(sc.nodes()), log)
+                                    })
+                                    .expect("valid scenario")
+                            },
+                            |mode, d| Some(mode.run_until_quiet(d, 5_000_000)),
+                        );
+                    }
+                }
+            }
+        }
+
+        fn send(dst: usize, idx: u32) -> Action {
+            Action::Send(
+                OutboundPacket::new(NodeId::new(dst), 8).with_user(UserData {
+                    msg_id: 0,
+                    pkt_index: idx,
+                    msg_packets: 1,
+                    user_words: 6,
+                }),
+            )
+        }
+
+        #[test]
+        fn chaos_faults_and_typed_failures_match() {
+            // Uniform drops, bursty loss, a permanently dead link and a retry
+            // budget: retransmission timers are the NIC wakeups the gate
+            // trusts, and failure surfacing must land on the same cycles.
+            let dead = NodeId::new(3);
+            assert_gating_is_invisible(
+                "chaos faults",
+                |log| {
+                    let fab = Fabric::new(
+                        Box::new(Mesh::d2(2, 2)),
+                        FabricConfig::default().with_drop_prob(0.02).with_fault(
+                            FaultConfig::default()
+                                .with_ack_drop_prob(0.01)
+                                .with_burst(GilbertElliott::with_mean_loss(0.03))
+                                .with_link_window(LinkWindow::edge(dead, 0, u64::MAX)),
+                        ),
+                    );
+                    let wls = (0..4usize)
+                        .map(|i| {
+                            if i == 0 {
+                                Script::boxed(vec![send(3, 0), send(1, 0), send(2, 0), send(1, 1)])
+                            } else {
+                                Script::boxed(vec![])
+                            }
+                        })
+                        .collect();
+                    let cfg = NifdyConfig::mesh()
+                        .with_retx_timeout(500)
+                        .with_retx_budget(3);
+                    Driver::new(
+                        fab,
+                        &NicChoice::Nifdy(cfg),
+                        SoftwareModel::synthetic(),
+                        record_all(wls, log),
+                    )
+                    .expect("driver builds")
+                    .with_stall_watchdog(200_000)
+                },
+                |mode, d| Some(mode.run_until_quiet(d, 2_000_000)),
+            );
+        }
+
+        #[test]
+        fn run_sampled_observes_identical_intermediate_states() {
+            let sample_one = |mode: Stepping| {
+                let log = Log::default();
+                let mut d = Scenario::new(NetworkKind::Mesh2D)
+                    .nodes(16)
+                    .seed(9)
+                    .nic(NicChoice::Nifdy(NetworkKind::Mesh2D.nifdy_preset()))
+                    .build_with(|sc| {
+                        record_all(
+                            ScanConfig::radix8(sc.sw()).with_delay(40).build(sc.nodes()),
+                            &log,
+                        )
+                    })
+                    .expect("valid scenario");
+                let mut samples = Vec::new();
+                mode.run_sampled(&mut d, 120_000, 10_000, |d| {
+                    samples.push((
+                        d.fabric().now().as_u64(),
+                        d.packets_received(),
+                        d.user_words_received(),
+                    ));
+                });
+                (samples, observe(&d, None, &log))
+            };
+            assert_eq!(
+                sample_one(Stepping::Gated),
+                sample_one(Stepping::Ungated),
+                "sampled states diverged"
+            );
+        }
+
+        #[test]
+        fn watchdog_trips_at_the_same_cycle() {
+            // Total loss with no retransmission wedges the sender. The
+            // watchdog only observes stepped nodes, so the gate must open on
+            // its deadline for the trip to match ungated stepping.
+            let trip_message = |mode: Stepping| -> String {
+                let result = std::panic::catch_unwind(move || {
+                    let fab = Fabric::new(
+                        Box::new(Mesh::d2(2, 2)),
+                        FabricConfig::default().with_drop_prob(1.0),
+                    );
+                    let wls = (0..4usize)
+                        .map(|i| {
+                            if i == 0 {
+                                Script::boxed(vec![send(1, 0)])
+                            } else {
+                                Script::boxed(vec![])
+                            }
+                        })
+                        .collect();
+                    let mut d = Driver::new(
+                        fab,
+                        &NicChoice::Nifdy(NifdyConfig::mesh()),
+                        SoftwareModel::synthetic(),
+                        wls,
+                    )
+                    .expect("driver builds")
+                    .with_stall_watchdog(5_000);
+                    let _ = mode.run_until_quiet(&mut d, 1_000_000);
+                });
+                let err = result.expect_err("watchdog must trip");
+                err.downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_else(|| "non-string panic".to_string())
+            };
+            let gated = trip_message(Stepping::Gated);
+            assert!(gated.contains("stall watchdog tripped"), "{gated}");
+            assert_eq!(gated, trip_message(Stepping::Ungated));
+        }
+
+        /// Trace streams and journey-analysis reports must be
+        /// byte-identical too.
+        #[cfg(feature = "trace")]
+        #[test]
+        fn trace_streams_and_journey_reports_match() {
+            use nifdy_trace::TraceConfig;
+
+            let run_one = |mode: Stepping| {
+                let log = Log::default();
+                let trace =
+                    TraceHandle::recording(TraceConfig::new().with_capacity_per_node(1 << 14));
+                let mut d = Scenario::new(NetworkKind::Mesh2D)
+                    .nodes(16)
+                    .seed(13)
+                    .nic(NicChoice::Nifdy(
+                        NifdyConfig::mesh()
+                            .with_retx_timeout(500)
+                            .with_retx_budget(4),
+                    ))
+                    .trace(trace.clone())
+                    .build_with(|sc| {
+                        record_all(
+                            ScanConfig::radix8(sc.sw()).with_delay(30).build(sc.nodes()),
+                            &log,
+                        )
+                    })
+                    .expect("valid scenario");
+                let done = mode.run_until_quiet(&mut d, 5_000_000);
+                assert!(done, "scan never finished");
+                let events = trace.snapshot();
+                let report = nifdy_analyze::analyze(
+                    &events,
+                    &trace.loss(),
+                    &nifdy_analyze::ExternalCounts::default(),
+                    &nifdy_analyze::AnomalyConfig::default(),
+                );
+                (
+                    events,
+                    report.to_json().render(),
+                    observe(&d, Some(done), &log),
+                )
+            };
+            let (gated_events, gated_json, gated_rec) = run_one(Stepping::Gated);
+            let (ref_events, ref_json, ref_rec) = run_one(Stepping::Ungated);
+            assert_eq!(gated_events, ref_events, "trace streams differ");
+            assert_eq!(gated_json, ref_json, "journey analysis JSON differs");
+            assert_eq!(gated_rec, ref_rec, "observation records differ");
+        }
     }
 }

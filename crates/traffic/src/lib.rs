@@ -48,7 +48,7 @@ mod scenario;
 mod synthetic;
 
 pub use cshift::{CShift, CShiftConfig};
-pub use driver::{BuildError, Driver, Engine, NicChoice};
+pub use driver::{BuildError, Driver, NicChoice};
 pub use em3d::{Em3d, Em3dParams, Em3dPlan};
 pub use network::NetworkKind;
 pub use openloop::{OpenLoop, OpenLoopConfig};

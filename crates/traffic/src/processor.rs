@@ -11,7 +11,7 @@
 
 use nifdy::{Delivered, Nic, OutboundPacket};
 use nifdy_sim::metrics::Counter;
-use nifdy_sim::{Cycle, NodeId, Wakeup};
+use nifdy_sim::{Cycle, NodeId};
 
 use crate::overheads::SoftwareModel;
 
@@ -29,12 +29,6 @@ pub enum Action {
     Idle,
     /// This node's script is complete (it keeps polling so the network can
     /// drain).
-    ///
-    /// Contract: once a workload returns `Done`, every later
-    /// [`next_action`](NodeWorkload::next_action) call must return `Done`
-    /// again without observable side effects — the event-driven driver
-    /// batches the post-completion polling without re-consulting the
-    /// workload.
     Done,
 }
 
@@ -50,25 +44,6 @@ pub trait NodeWorkload: Send {
 
     /// Called for every packet the processor receives.
     fn on_receive(&mut self, pkt: &Delivered, now: Cycle);
-
-    /// When this workload next wants a [`next_action`] call, under the
-    /// [`Wakeup`] contract.
-    ///
-    /// Overriding with `At(t)` / `Quiescent` promises that every
-    /// `next_action` call strictly before the wakeup returns
-    /// [`Action::Idle`] *and has no side effects* (no RNG draws, no state
-    /// changes) — the event-driven driver replaces those calls with
-    /// batched empty polls. `Quiescent` additionally promises the workload
-    /// only becomes ready again through [`on_receive`]. Workloads whose
-    /// `next_action` mutates internal state on idle paths (e.g. drawing
-    /// randomness) must keep the default `Now`.
-    ///
-    /// [`next_action`]: NodeWorkload::next_action
-    /// [`on_receive`]: NodeWorkload::on_receive
-    fn next_event(&self, now: Cycle) -> Wakeup {
-        let _ = now;
-        Wakeup::Now
-    }
 }
 
 /// Events a processor reports to the driver.
@@ -78,21 +53,6 @@ pub enum ProcEvent {
     None,
     /// The node entered the barrier and is now blocked.
     EnteredBarrier,
-}
-
-/// How the event-driven driver should treat a processor for the coming
-/// cycles (computed by [`Processor::classify`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProcWake {
-    /// Stepping this cycle may do observable work beyond an empty poll —
-    /// the driver must fall back to cycle stepping.
-    Step,
-    /// Computing until the given cycle; does nothing before it.
-    Busy(Cycle),
-    /// Idle-polling the network at `t_poll` cadence. `Some(t)` bounds the
-    /// batch: the workload becomes ready at `t`. `None` means the polls
-    /// continue until external input (barrier release or an arrival).
-    Polling(Option<Cycle>),
 }
 
 /// Processor activity counters.
@@ -177,73 +137,12 @@ impl Processor {
         }
     }
 
-    /// Classifies what this processor needs from the driver at `now`, for
-    /// the event-driven engine. Conservative: anything that could do
-    /// observable work is [`ProcWake::Step`].
-    pub(crate) fn classify(&self, nic: &dyn Nic, wl: &dyn NodeWorkload, now: Cycle) -> ProcWake {
-        if self.busy_until > now {
-            return ProcWake::Busy(self.busy_until);
-        }
-        if self.in_barrier {
-            // Waiting nodes poll so the network drains; a deliverable
-            // arrival makes the poll a real receive.
-            return if nic.has_deliverable() {
-                ProcWake::Step
-            } else {
-                ProcWake::Polling(None)
-            };
-        }
-        if nic.has_deliverable() || self.pending_send.is_some() {
-            return ProcWake::Step;
-        }
-        if self.done {
-            // Finished scripts keep polling; `Action::Done`'s contract
-            // makes skipping the `next_action` calls safe.
-            return ProcWake::Polling(None);
-        }
-        match wl.next_event(now) {
-            Wakeup::Now => ProcWake::Step,
-            Wakeup::At(t) if t <= now => ProcWake::Step,
-            Wakeup::At(t) => ProcWake::Polling(Some(t)),
-            Wakeup::Quiescent => ProcWake::Polling(None),
-        }
-    }
-
     /// The cycle this processor next leaves its busy/delay state: its
     /// [`step`](Self::step) is a guaranteed no-op strictly before then
     /// (the very first check returns), which is what lets the driver gate
     /// per-node stepping.
     pub(crate) fn next_due(&self) -> Cycle {
         self.busy_until
-    }
-
-    /// Replays the empty polls this processor would have issued over
-    /// `[now, until)` in one batch, without touching the NIC or workload.
-    ///
-    /// Only valid inside an event-engine skip window, where nothing is
-    /// deliverable and nothing can arrive: each poll slot (spaced `t_poll`
-    /// from the previous `busy_until`) misses, charges `t_poll`, and bumps
-    /// `empty_polls` — exactly what per-cycle stepping would have done.
-    pub(crate) fn batch_idle_polls(&mut self, now: Cycle, until: Cycle) {
-        let start = if self.busy_until > now {
-            self.busy_until
-        } else {
-            now
-        };
-        if start >= until {
-            return;
-        }
-        let span = until.saturating_since(start);
-        let t_poll = self.sw.t_poll;
-        // t_poll == 0 degenerates to one poll per cycle, as cycle stepping
-        // would produce.
-        let k = if t_poll == 0 {
-            span
-        } else {
-            span.div_ceil(t_poll)
-        };
-        self.stats.empty_polls.add(k);
-        self.busy_until = start + k * t_poll;
     }
 
     /// One scheduling slot. Call once per cycle, before the NIC steps.

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 
 use nifdy::{Delivered, OutboundPacket};
 use nifdy_net::UserData;
-use nifdy_sim::{Cycle, NodeId, SimRng, Wakeup};
+use nifdy_sim::{Cycle, NodeId, SimRng};
 
 use crate::processor::{Action, NodeWorkload};
 use crate::SoftwareModel;
@@ -137,19 +137,6 @@ impl NodeWorkload for Scan {
         if !self.is_last() {
             // Add the local count and forward the running sum.
             self.ready.push_back(pkt.user.msg_id as u32);
-        }
-    }
-
-    fn next_event(&self, _now: Cycle) -> Wakeup {
-        // The idle phase (waiting for the predecessor's running sum) is
-        // purely reactive: `next_action` returns `Idle` without side
-        // effects until `on_receive` queues a bucket. Everything else —
-        // including a finished script that still has to report `Done` —
-        // wants a call now.
-        if !self.finished() && (self.is_last() || self.ready.is_empty()) {
-            Wakeup::Quiescent
-        } else {
-            Wakeup::Now
         }
     }
 }
