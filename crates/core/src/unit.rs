@@ -451,25 +451,30 @@ impl NifdyUnit {
         self.stats.acks_received.incr();
         match info {
             AckInfo::Scalar { grant, echo } => {
-                if let Some(i) = self
+                // A stale re-ack (its packet was already acknowledged) is
+                // ignored whole, grant included: opening a dialog on it
+                // would stream bulk packets past a scalar still
+                // outstanding to the same peer.
+                let Some(i) = self
                     .opt
                     .iter()
                     .position(|e| e.dst == from && e.dup_bit == echo)
-                {
-                    let e = self.opt.swap_remove(i);
-                    trace_event!(
-                        self.trace,
-                        self.now,
-                        self.node,
-                        EventKind::OptClear {
-                            dst: from,
-                            occupancy: self.opt.len() as u32,
-                        }
-                    );
-                    if e.retries == 0 {
-                        let rtt = self.now.saturating_since(e.first_sent);
-                        self.sample_rtt(from, rtt);
+                else {
+                    return;
+                };
+                let e = self.opt.swap_remove(i);
+                trace_event!(
+                    self.trace,
+                    self.now,
+                    self.node,
+                    EventKind::OptClear {
+                        dst: from,
+                        occupancy: self.opt.len() as u32,
                     }
+                );
+                if e.retries == 0 {
+                    let rtt = self.now.saturating_since(e.first_sent);
+                    self.sample_rtt(from, rtt);
                 }
                 match grant {
                     BulkGrant::Granted { dialog, window } => {
@@ -1763,6 +1768,50 @@ mod tests {
             },
         );
         assert_eq!(u.opt_occupancy(), 1);
+    }
+
+    #[test]
+    fn stale_scalar_ack_carries_no_grant() {
+        // A re-ack for an earlier scalar (echo != the outstanding entry's
+        // dup bit) must not open the dialog the pending request asked for:
+        // bulk packets would overtake the scalar still in flight.
+        let mut u = unit(NifdyConfig::mesh());
+        let peer = NodeId::new(1);
+        u.opt.push(OptEntry {
+            dst: peer,
+            sent_at: Cycle::ZERO,
+            first_sent: Cycle::ZERO,
+            retries: 0,
+            wait: 0,
+            dup_bit: true,
+            copy: None,
+        });
+        u.bulk_request_pending = Some(peer);
+        let granted = BulkGrant::Granted {
+            dialog: 0,
+            window: 4,
+        };
+        u.handle_ack(
+            peer,
+            AckInfo::Scalar {
+                grant: granted,
+                echo: false,
+            },
+        );
+        assert!(u.out_dialog.is_none(), "stale ack opened a dialog");
+        assert_eq!(u.bulk_request_pending, Some(peer), "request dropped");
+        assert_eq!(u.opt_occupancy(), 1);
+        // The matching ack clears the entry and opens the dialog.
+        u.handle_ack(
+            peer,
+            AckInfo::Scalar {
+                grant: granted,
+                echo: true,
+            },
+        );
+        assert_eq!(u.opt_occupancy(), 0);
+        assert!(u.out_dialog.as_ref().is_some_and(|d| d.peer == peer));
+        assert!(u.bulk_request_pending.is_none());
     }
 
     #[test]

@@ -257,3 +257,112 @@ fn nifdy_routes_around_fat_tree_link_faults() {
         "degraded tree out of regime: {faulty_t} vs {healthy_t}"
     );
 }
+
+#[test]
+fn bulk_streams_stay_in_order_under_bursty_loss_with_tight_rto_bounds() {
+    // 10% Gilbert–Elliott loss on data and acks with adaptive RTO bounded
+    // to [32, 2500]: duplicate scalar re-acks are frequent here, and a
+    // stale one once opened a bulk dialog while the scalar it answered for
+    // was still outstanding, so the stream overtook it.
+    use nifdy::{Delivered, NifdyConfig, OutboundPacket};
+    use nifdy_net::{FaultConfig, GilbertElliott, UserData};
+    use nifdy_sim::{Cycle, NodeId};
+    use nifdy_traffic::{Action, NodeWorkload};
+    use std::sync::{Arc, Mutex};
+
+    const NODES: usize = 64;
+    const PER_NODE: u32 = 150;
+
+    /// `(src, dst, pkt_index)` of every delivery, in delivery order.
+    type Log = Arc<Mutex<Vec<(usize, usize, u32)>>>;
+
+    struct Stream {
+        node: usize,
+        dst: NodeId,
+        sent: u32,
+        log: Log,
+    }
+
+    impl NodeWorkload for Stream {
+        fn next_action(&mut self, _now: Cycle) -> Action {
+            if self.sent == PER_NODE {
+                return Action::Done;
+            }
+            let user = UserData {
+                msg_id: 0,
+                pkt_index: self.sent,
+                msg_packets: 1,
+                user_words: 6,
+            };
+            self.sent += 1;
+            Action::Send(
+                OutboundPacket::new(self.dst, 8)
+                    .with_bulk(true)
+                    .with_user(user),
+            )
+        }
+        fn on_receive(&mut self, pkt: &Delivered, _now: Cycle) {
+            self.log.lock().expect("log lock").push((
+                pkt.src.index(),
+                self.node,
+                pkt.user.pkt_index,
+            ));
+        }
+    }
+
+    let kind = NetworkKind::Mesh2D;
+    let seed = 139;
+    let fault = FaultConfig::default().with_burst(GilbertElliott::with_mean_loss(0.10));
+    let fab = Fabric::new(
+        kind.topology(NODES, seed),
+        kind.fabric_config(seed).with_fault(fault),
+    );
+    let nic = NifdyConfig::mesh()
+        .with_retx_timeout(2500)
+        .with_adaptive_rto(true)
+        .with_rto_bounds(32, 2500);
+    let log = Log::default();
+    let wls = (0..NODES)
+        .map(|i| -> Box<dyn NodeWorkload> {
+            Box::new(Stream {
+                node: i,
+                dst: NodeId::new((i + NODES / 2) % NODES),
+                sent: 0,
+                log: Arc::clone(&log),
+            })
+        })
+        .collect();
+    let mut d = Driver::new(fab, &NicChoice::Nifdy(nic), SoftwareModel::synthetic(), wls)
+        .expect("driver builds");
+    let finished = d.run_until_quiet(20_000_000);
+
+    let log = log.lock().expect("log lock");
+    let mut next = vec![0u32; NODES];
+    let mut misordered = Vec::new();
+    for &(src, dst, idx) in log.iter() {
+        assert_eq!(
+            dst,
+            (src + NODES / 2) % NODES,
+            "delivered to the wrong node"
+        );
+        if idx == next[src] {
+            next[src] += 1;
+        } else {
+            misordered.push((src, dst, idx, next[src]));
+        }
+    }
+    assert!(
+        misordered.is_empty(),
+        "{} out-of-order deliveries, first (src, dst, got, expected): {:?}",
+        misordered.len(),
+        &misordered[..misordered.len().min(4)]
+    );
+    assert!(
+        d.delivery_failures().is_empty(),
+        "{:?}",
+        d.delivery_failures()
+    );
+    assert!(finished, "streams never drained");
+    assert_eq!(log.len(), NODES * PER_NODE as usize);
+    assert!(next.iter().all(|&n| n == PER_NODE), "{next:?}");
+}
