@@ -238,8 +238,8 @@ pub trait Nic: Send {
     ///
     /// The default is maximally conservative — a non-idle interface
     /// always wants stepping — which is correct for any implementation.
-    /// Interfaces with real timer state override this to let an
-    /// event-driven driver skip their quiet stretches.
+    /// Interfaces with real timer state override this to let a driver
+    /// skip stepping them through their quiet stretches.
     fn next_event(&self, now: Cycle) -> Wakeup {
         let _ = now;
         if self.is_idle() {

@@ -15,8 +15,8 @@
 //! * [`StallWatchdog`] — cycle-driven detection of units that stay busy
 //!   without making progress (livelock and lost-wakeup tripwire for lossy
 //!   fabrics),
-//! * [`Wakeup`] — the stepping contract that lets an event-driven driver
-//!   skip quiescent cycles while staying byte-identical to explicit
+//! * [`Wakeup`] — the stepping contract that lets a driver skip stepping
+//!   quiescent components while staying byte-identical to explicit
 //!   cycle-by-cycle stepping,
 //! * [`Slab`] — a generational free-list arena so steady-state packet and
 //!   flit churn never allocates.

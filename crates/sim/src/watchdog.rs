@@ -86,11 +86,11 @@ impl StallWatchdog {
     /// The earliest cycle at which any tracked unit could trip, given no
     /// further progress: `last_change + limit` minimized over armed units.
     ///
-    /// An event-driven driver must treat this as a hard [`crate::Wakeup`]
-    /// deadline — observations between now and the deadline are no-ops for
-    /// a frozen unit (same fingerprint, still busy), so skipping them is
-    /// safe, but skipping *past* the deadline would let a wedged node
-    /// escape detection.
+    /// A driver that skips stepping must treat this as a hard
+    /// [`crate::Wakeup`] deadline — observations between now and the
+    /// deadline are no-ops for a frozen unit (same fingerprint, still
+    /// busy), so skipping them is safe, but skipping *past* the deadline
+    /// would let a wedged node escape detection.
     pub fn next_deadline(&self) -> Option<Cycle> {
         self.units
             .iter()
