@@ -255,7 +255,7 @@ impl LintConfig {
     }
 }
 
-/// Engine output: active violations, suppressed findings (with the entry
+/// Analyzer output: active violations, suppressed findings (with the entry
 /// that covered each), and fatal errors (allowlist schema/staleness, I/O).
 #[derive(Debug, Default)]
 pub struct LintReport {
