@@ -89,45 +89,184 @@ struct OutPort {
     mux_rr: u8,
 }
 
+/// Holder-table entry for an output VC no input slot holds.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A router with its arbitration state. Input slots `(in_port, vc)` are
+/// numbered `ip * total_vcs + vc`; the per-port slot bitsets below are
+/// stored flat, `words` u64s per output port.
+///
+/// Arbitration visits only slots that can move a flit. A buffered slot is
+/// in exactly one state per output port `p`:
+///
+/// * **candidate** (`cands`): a worm routed to `p` whose downstream VC has
+///   credit, or an unrouted head with `p` on its route that has not failed
+///   allocation on `p` since the last event that could change the outcome;
+/// * **head-parked** (`parked`): an unrouted head whose VC allocation on
+///   `p` failed. All of `p`'s parked heads re-enter together on a credit
+///   returned to `p`, a VC of `p` released, or the node behind `p`
+///   draining its ejection queue; a flit joining the head's own buffer
+///   re-enters it on every port (store-and-forward waits for the tail);
+/// * **credit-parked**: a worm routed to `p` whose downstream VC has no
+///   credit — in no set, found again through `holder` when credit returns;
+/// * absent, when `p` is not the slot's allocated port or on its route.
 #[derive(Debug)]
 struct Router {
     ins: Vec<InPort>,
     outs: Vec<OutPort>,
-    /// Buffered flits per lane across all input VCs — lets the allocator
-    /// skip empty lanes (the reply lane is idle most cycles).
-    lane_flits: [u32; 2],
-    /// Per-output-port candidate bitsets over `(in_port, vc)` slots (bit
-    /// `ip * total_vcs + vc`), so each port's arbitration scans only the
-    /// slots it could actually serve. A non-empty VC buffer whose worm
-    /// holds an output allocation to port `p` sits in `cands[p]` alone;
-    /// an unrouted head is routed once (when it reaches the buffer front)
-    /// and its slot bit distributed to exactly the ports on its route.
-    cands: Vec<Vec<u64>>,
-    /// Slots whose front is an unrouted head that has not been routed and
-    /// distributed into `cands` yet; drained by `resolve_heads` at the
-    /// start of each allocation phase.
-    unresolved: Vec<u64>,
+    /// Words per slot bitset.
+    words: usize,
+    /// Candidate slots per output port.
+    cands: Vec<u64>,
+    /// Heads parked per output port after a failed VC allocation.
+    parked: Vec<u64>,
+    /// Input slot holding each output VC (`p * total_vcs + vc`), or
+    /// [`NO_SLOT`]: set on the head's commit, cleared on the tail's.
+    holder: Vec<u32>,
     /// Constant mask per lane: bit set iff the slot's VC belongs to that
     /// lane, folding the `lane_vc_range` filter into the word scan.
     lane_mask: [Vec<u64>; 2],
-    /// Output wires currently serializing a flit (`Some` entries across
-    /// `outs × lanes`); lets the wire phase skip fully idle routers.
-    busy_wires: u32,
+    /// Per lane, bit `p` set iff output port `p` has a flit on that wire.
+    wires: [u64; 2],
+    /// Per lane, bit `p` set iff `p`'s candidate set holds a slot of that
+    /// lane.
+    live: [u64; 2],
 }
 
 impl Router {
-    /// Marks a newly non-empty VC buffer in the bitset matching its
-    /// current allocation state (idempotent when already marked): routed
-    /// worms go straight to their allocated port's candidate set, fresh
-    /// heads queue for route resolution.
     #[inline]
-    fn mark_occupied(&mut self, ip: usize, vc: usize, total_vcs: usize) {
-        let slot = ip * total_vcs + vc;
-        match self.ins[ip].vcs[vc].alloc {
-            Some((ap, _)) => set_bit(&mut self.cands[ap as usize], slot),
-            None => set_bit(&mut self.unresolved, slot),
+    fn port_words(&self, p: usize) -> std::ops::Range<usize> {
+        p * self.words..(p + 1) * self.words
+    }
+
+    /// The lane of slot `slot`'s VC.
+    #[inline]
+    fn slot_lane(&self, slot: usize) -> usize {
+        usize::from(test_bit(&self.lane_mask[1], slot))
+    }
+
+    /// Whether port `p`'s candidate set holds any slot of `lane`.
+    #[inline]
+    fn has_cands(&self, p: usize, lane: usize) -> bool {
+        self.cands[self.port_words(p)]
+            .iter()
+            .zip(&self.lane_mask[lane])
+            .any(|(c, m)| c & m != 0)
+    }
+
+    #[inline]
+    fn add_cand(&mut self, p: usize, slot: usize) {
+        let words = self.port_words(p);
+        set_bit(&mut self.cands[words], slot);
+        self.live[self.slot_lane(slot)] |= 1u64 << p;
+    }
+
+    #[inline]
+    fn remove_cand(&mut self, p: usize, slot: usize) {
+        let words = self.port_words(p);
+        clear_bit(&mut self.cands[words], slot);
+        let lane = self.slot_lane(slot);
+        if !self.has_cands(p, lane) {
+            self.live[lane] &= !(1u64 << p);
         }
     }
+
+    /// Moves a head whose VC allocation on `p` failed out of `p`'s
+    /// candidate set until a wake event on `p`.
+    #[inline]
+    fn park(&mut self, p: usize, slot: usize) {
+        self.remove_cand(p, slot);
+        let words = self.port_words(p);
+        set_bit(&mut self.parked[words], slot);
+    }
+
+    /// Returns every head parked on `p` to its candidate set: something
+    /// their allocation depends on (credit, a free VC, ejection room) may
+    /// have changed.
+    #[inline]
+    fn wake_parked(&mut self, p: usize) {
+        for w in 0..self.words {
+            let i = p * self.words + w;
+            let bits = std::mem::take(&mut self.parked[i]);
+            if bits == 0 {
+                continue;
+            }
+            self.cands[i] |= bits;
+            for lane in 0..2 {
+                if bits & self.lane_mask[lane][w] != 0 {
+                    self.live[lane] |= 1u64 << p;
+                }
+            }
+        }
+    }
+
+    /// Enters `slot` into port `p`'s candidate set and out of its parked
+    /// set (a head being re-resolved).
+    #[inline]
+    fn unpark(&mut self, p: usize, slot: usize) {
+        let words = self.port_words(p);
+        clear_bit(&mut self.parked[words], slot);
+        self.add_cand(p, slot);
+    }
+
+    /// Withdraws `slot` from port `p` entirely (a head committed elsewhere).
+    #[inline]
+    fn withdraw(&mut self, p: usize, slot: usize) {
+        let words = self.port_words(p);
+        clear_bit(&mut self.parked[words], slot);
+        self.remove_cand(p, slot);
+    }
+
+    /// Puts the routed slot `slot`, allocated `(p, dvc)`, in `p`'s
+    /// candidate set iff it can send: a flit is buffered and the
+    /// downstream VC has credit.
+    #[inline]
+    fn sync_routed(&mut self, p: usize, dvc: usize, slot: usize, ip: usize, vc: usize) {
+        if !self.ins[ip].vcs[vc].buf.is_empty() && self.outs[p].credits[dvc] > 0 {
+            self.add_cand(p, slot);
+        } else {
+            self.remove_cand(p, slot);
+        }
+    }
+
+    /// Returns `n` flit slots of downstream VC `dvc` to output port `p`:
+    /// un-parks the worm holding that VC, or, if no worm owns it, wakes
+    /// `p`'s parked heads (a head allocates only an unowned VC, so credit
+    /// on an owned one cannot change its outcome before the release, which
+    /// wakes them itself).
+    fn return_credits(&mut self, p: usize, dvc: usize, n: u16, total_vcs: usize) {
+        self.outs[p].credits[dvc] += n;
+        let holder = self.holder[p * total_vcs + dvc];
+        if holder != NO_SLOT {
+            let slot = holder as usize;
+            self.sync_routed(p, dvc, slot, slot / total_vcs, slot % total_vcs);
+        }
+        if self.outs[p].owner[dvc].is_none() {
+            self.wake_parked(p);
+        }
+    }
+
+    /// Output ports with a free wire and a candidate on `lane`.
+    #[inline]
+    fn ready_on(&self, lane: usize) -> u64 {
+        self.live[lane] & !self.wires[lane]
+    }
+
+    /// Output ports in `from..to` ready on some lane, as a bitmask.
+    #[inline]
+    fn ready_ports(&self, from: usize, to: usize) -> u64 {
+        if from >= to {
+            return 0;
+        }
+        let below = if to >= 64 { !0 } else { (1u64 << to) - 1 };
+        (self.ready_on(0) | self.ready_on(1)) & below & (!0u64 << from)
+    }
+}
+
+#[inline]
+fn test_bit(bits: &[u64], slot: usize) -> bool {
+    bits.get(slot / 64)
+        .is_some_and(|w| w & (1u64 << (slot % 64)) != 0)
 }
 
 #[inline]
@@ -157,6 +296,9 @@ struct InjSlot {
 struct NodeIface {
     inj_router: u32,
     inj_port: u8,
+    /// The router output port that ejects to this node.
+    ej_router: u32,
+    ej_port: u8,
     /// Credit mirror for the attached input port's VCs.
     inj_credits: Vec<u16>,
     inj_owner: Vec<Option<WormId>>,
@@ -327,11 +469,13 @@ impl Fabric {
                      candidate-port bitmask"
                 );
                 Router {
-                    lane_flits: [0, 0],
-                    cands: vec![vec![0; words]; r.links.len()],
-                    unresolved: vec![0; words],
+                    words,
+                    cands: vec![0; r.links.len() * words],
+                    parked: vec![0; r.links.len() * words],
+                    holder: vec![NO_SLOT; r.links.len() * total_vcs],
                     lane_mask,
-                    busy_wires: 0,
+                    wires: [0, 0],
+                    live: [0, 0],
                     ins: (0..r.in_ports)
                         .map(|_| InPort {
                             vcs: (0..total_vcs).map(|_| VcState::default()).collect(),
@@ -380,6 +524,8 @@ impl Fabric {
                 NodeIface {
                     inj_router: at.inj_router,
                     inj_port: at.inj_port,
+                    ej_router: at.ej_router,
+                    ej_port: at.ej_port,
                     inj_credits: vec![cfg.vc_buf_flits; total_vcs],
                     inj_owner: vec![None; total_vcs],
                     slots: [None, None],
@@ -533,9 +679,14 @@ impl Fabric {
     /// Removes and returns the oldest fully delivered packet at `node` on
     /// `lane`, if any.
     pub fn eject(&mut self, node: NodeId, lane: Lane) -> Option<Packet> {
-        let pkt = self.nodes[node.index()].ready[lane.index()].pop_front();
+        let iface = &mut self.nodes[node.index()];
+        let pkt = iface.ready[lane.index()].pop_front();
         if pkt.is_some() {
             self.ready_total -= 1;
+            // Ejection room opened: heads parked on the port feeding this
+            // node may now allocate.
+            let (r, p) = (iface.ej_router as usize, iface.ej_port as usize);
+            self.routers[r].wake_parked(p);
         }
         pkt
     }
@@ -552,10 +703,8 @@ impl Fabric {
         base..base + per
     }
 
-    /// First slot in `from..limit` holding a flit that output port `p` of
-    /// router `r` may consider on `lane`: worms routed to `p` plus resolved
-    /// heads whose route includes `p`, intersected with the lane's constant
-    /// slot mask.
+    /// First slot in `from..limit` in output port `p`'s candidate set on
+    /// `lane` (router `r`).
     #[inline]
     fn next_candidate(
         &self,
@@ -566,7 +715,7 @@ impl Fabric {
         limit: usize,
     ) -> Option<usize> {
         let rt = &self.routers[r];
-        let cands = &rt.cands[p];
+        let cands = &rt.cands[rt.port_words(p)];
         let mask = &rt.lane_mask[lane.index()];
         let word =
             |w: usize| cands.get(w).copied().unwrap_or(0) & mask.get(w).copied().unwrap_or(0);
@@ -641,14 +790,13 @@ impl Fabric {
     /// Phase A: decrement serialization counters; deliver flits whose
     /// transfer completes.
     fn progress_wires(&mut self) {
-        let total_vcs = self.cfg.total_vcs();
         for r in 0..self.routers.len() {
-            // Every wire idle: advancing_lane would return None for each
-            // port, so the whole router is a no-op this cycle.
-            if self.routers[r].busy_wires == 0 {
-                continue;
-            }
-            for p in 0..self.routers[r].outs.len() {
+            // Only ports with a flit on a wire can advance; walk them in
+            // port order (drop lotteries draw RNG in this order).
+            let mut ports = self.routers[r].wires[0] | self.routers[r].wires[1];
+            while ports != 0 {
+                let p = ports.trailing_zeros() as usize;
+                ports &= ports - 1;
                 let busy = [
                     self.routers[r].outs[p].in_flight[0].is_some(),
                     self.routers[r].outs[p].in_flight[1].is_some(),
@@ -668,19 +816,19 @@ impl Fabric {
                     continue;
                 }
                 self.routers[r].outs[p].in_flight[lane.index()] = None;
-                self.routers[r].busy_wires -= 1;
+                self.routers[r].wires[lane.index()] &= !(1u64 << p);
                 let is_tail = flit.idx + 1 == self.worm_flits(flit.worm);
                 if is_tail {
                     self.routers[r].outs[p].owner[dvc as usize] = None;
+                    self.routers[r].wake_parked(p);
                 }
                 match self.routers[r].outs[p].dest {
                     Endpoint::Router { router, in_port } => {
-                        let target = &mut self.routers[router as usize];
-                        target.lane_flits[dvc as usize / self.cfg.vcs_per_lane as usize] += 1;
-                        target.mark_occupied(in_port as usize, dvc as usize, total_vcs);
-                        target.ins[in_port as usize].vcs[dvc as usize]
+                        let (router, in_port) = (router as usize, in_port as usize);
+                        self.routers[router].ins[in_port].vcs[dvc as usize]
                             .buf
                             .push_back((flit, self.now));
+                        self.slot_filled(router, in_port, dvc as usize);
                     }
                     Endpoint::Node(node) => {
                         self.deliver_to_node(node as usize, r, p, flit, dvc, is_tail);
@@ -723,13 +871,27 @@ impl Fabric {
                 self.nodes[n].slots[lane.index()] = None;
                 self.inj_active -= 1;
             }
-            let (r, p) = (self.nodes[n].inj_router, self.nodes[n].inj_port);
-            let target = &mut self.routers[r as usize];
-            target.lane_flits[dvc as usize / self.cfg.vcs_per_lane as usize] += 1;
-            target.mark_occupied(p as usize, dvc as usize, total_vcs);
-            target.ins[p as usize].vcs[dvc as usize]
+            let (r, p) = (
+                self.nodes[n].inj_router as usize,
+                self.nodes[n].inj_port as usize,
+            );
+            self.routers[r].ins[p].vcs[dvc as usize]
                 .buf
                 .push_back((flit, self.now));
+            self.slot_filled(r, p, dvc as usize);
+        }
+    }
+
+    /// A flit joined input slot `(ip, vc)` of router `r`: a routed worm
+    /// becomes a candidate of its port if it has credit; an unrouted head
+    /// at the front is offered to its route.
+    fn slot_filled(&mut self, r: usize, ip: usize, vc: usize) {
+        match self.routers[r].ins[ip].vcs[vc].alloc {
+            Some((ap, avc)) => {
+                let slot = ip * self.cfg.total_vcs() + vc;
+                self.routers[r].sync_routed(ap as usize, avc as usize, slot, ip, vc);
+            }
+            None => self.resolve_slot(r, ip, vc),
         }
     }
 
@@ -756,7 +918,8 @@ impl Fabric {
         let packet = worm.packet;
         let lane = packet.lane;
         // Return the assembly space to the ejection port's credits.
-        self.routers[router].outs[port].credits[dvc as usize] += flits;
+        let total_vcs = self.cfg.total_vcs();
+        self.routers[router].return_credits(port, dvc as usize, flits, total_vcs);
         self.pending_per_dst[packet.dst.index()] -= 1;
         if self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob) {
             self.stats.dropped.incr();
@@ -828,36 +991,27 @@ impl Fabric {
     /// serializing it.
     fn start_router_transmissions(&mut self) {
         for r in 0..self.routers.len() {
-            if self.routers[r].lane_flits == [0, 0] {
+            let num_outs = self.routers[r].outs.len();
+            if self.routers[r].ready_ports(0, num_outs) == 0 {
                 continue;
             }
-            self.resolve_heads(r);
-            let num_outs = self.routers[r].outs.len();
             // Rotate starting port so adaptive choices spread over links.
+            // The ready mask is re-read after every port: a commit can
+            // front a new head that a port later in the rotation may take.
             let start = (self.now.as_u64() as usize + r) % num_outs;
-            for k in 0..num_outs {
-                let p = (start + k) % num_outs;
-                for lane in Lane::ALL {
-                    if self.routers[r].lane_flits[lane.index()] > 0
-                        && self.routers[r].outs[p].in_flight[lane.index()].is_none()
-                        && self.port_has_candidates(r, p, lane)
-                    {
-                        self.try_start_one(r, p, lane);
+            for (from, to) in [(start, num_outs), (0, start)] {
+                let mut ready = self.routers[r].ready_ports(from, to);
+                while ready != 0 {
+                    let p = ready.trailing_zeros() as usize;
+                    for lane in Lane::ALL {
+                        if self.routers[r].ready_on(lane.index()) >> p & 1 != 0 {
+                            self.try_start_one(r, p, lane);
+                        }
                     }
+                    ready = self.routers[r].ready_ports(p + 1, to);
                 }
             }
         }
-    }
-
-    /// Whether output port `p` has any candidate slot on `lane` — a cheap
-    /// word scan that spares the arbitration loop for idle ports.
-    #[inline]
-    fn port_has_candidates(&self, r: usize, p: usize, lane: Lane) -> bool {
-        let rt = &self.routers[r];
-        rt.cands[p]
-            .iter()
-            .zip(&rt.lane_mask[lane.index()])
-            .any(|(c, m)| c & m != 0)
     }
 
     /// Attempts to start one flit of logical network `lane` on output port
@@ -867,13 +1021,14 @@ impl Fabric {
         let total_vcs = self.cfg.total_vcs();
         let slots = num_ins * total_vcs;
         let rr = self.routers[r].outs[p].rr as usize;
-        // Round-robin over this port's *candidate* slots only — buffered
-        // worms already routed to `p` plus resolved heads whose route
-        // includes `p`, lane-masked. This visits the same eligible slots
-        // in the same order as a full `(rr + k) % slots` sweep (slots it
-        // skips would fail the original loop's empty-buffer, lane-range,
-        // allocated-elsewhere, or off-route checks), so arbitration
-        // outcomes are bit-for-bit unchanged.
+        // Round-robin over port `p`'s candidate slots of `lane`, from the
+        // cursor. An exhaustive `(rr + k) % slots` sweep would also visit
+        // empty VCs, other lanes, worms allocated to other ports or blocked
+        // on zero credit, off-route heads, and heads parked after a failed
+        // allocation; each of those visits would `continue` without
+        // changing state or drawing RNG. The candidate set holds exactly
+        // the remaining slots, in the same order, so the first commit —
+        // and the cursor it leaves — is the exhaustive sweep's.
         let mut pos = rr;
         let mut limit = slots;
         let mut wrapped = false;
@@ -890,29 +1045,27 @@ impl Fabric {
             pos = s + 1;
             let (ip, vc) = (s / total_vcs, s % total_vcs);
             let Some(&(flit, arrived)) = self.routers[r].ins[ip].vcs[vc].buf.front() else {
-                debug_assert!(false, "occupancy bit set on an empty VC buffer");
+                debug_assert!(false, "candidate bit set on an empty VC buffer");
                 continue;
             };
             if arrived >= self.now {
                 continue; // one-cycle router pipeline
             }
-            let alloc = self.routers[r].ins[ip].vcs[vc].alloc;
-            let choice = if let Some((ap, avc)) = alloc {
-                // Body/tail flit: must continue on its allocated path.
-                if ap as usize != p {
+            let (dvc, is_head) = if let Some((ap, avc)) = self.routers[r].ins[ip].vcs[vc].alloc {
+                // Body/tail flit: continues on its allocated path, which
+                // the candidate set only offers while it has credit.
+                if ap as usize != p || self.routers[r].outs[p].credits[avc as usize] == 0 {
+                    debug_assert!(false, "blocked routed worm in a candidate set");
                     continue;
                 }
-                if self.routers[r].outs[p].credits[avc as usize] == 0 {
-                    continue;
-                }
-                Some((avc, false))
+                (avc, false)
             } else {
                 debug_assert_eq!(flit.idx, 0, "unrouted non-head flit");
-                self.head_allocation(r, p, ip, vc, flit)
-                    .map(|dvc| (dvc, true))
-            };
-            let Some((dvc, is_head)) = choice else {
-                continue;
+                let Some(dvc) = self.head_allocation(r, p, ip, vc, flit) else {
+                    self.routers[r].park(p, s);
+                    continue;
+                };
+                (dvc, true)
             };
             self.commit_transmission(r, p, ip, vc, flit, dvc, is_head);
             self.routers[r].outs[p].rr = ((s + 1) % slots) as u32;
@@ -920,34 +1073,20 @@ impl Fabric {
         }
     }
 
-    /// Drains router `r`'s unresolved-head queue: each newly fronted
-    /// unrouted head is routed once and its slot bit distributed to
-    /// exactly the output ports on its route.
-    fn resolve_heads(&mut self, r: usize) {
-        let total_vcs = self.cfg.total_vcs();
-        for w in 0..self.routers[r].unresolved.len() {
-            while self.routers[r].unresolved[w] != 0 {
-                let b = self.routers[r].unresolved[w].trailing_zeros() as usize;
-                let s = w * 64 + b;
-                self.resolve_slot(r, s / total_vcs, s % total_vcs);
-            }
-        }
-    }
-
-    /// Routes the unrouted head at the front of `(ip, vc)` and enters its
-    /// slot bit into the candidate set of every port on its route. The
-    /// mask is cached per VC keyed by worm id — the candidate set is a
-    /// pure function of the worm's static route state, so the head's
-    /// commit can later retract exactly the bits entered here.
+    /// Offers the unrouted head at the front of `(ip, vc)` to every port on
+    /// its route, un-parking it where it was parked: called when the head
+    /// reaches the front and again whenever a flit joins its buffer (which
+    /// may complete a store-and-forward packet). The route mask is computed
+    /// once per worm and cached per VC — it is a pure function of the
+    /// worm's static route state, so the head's commit can later retract
+    /// exactly the bits entered here.
     fn resolve_slot(&mut self, r: usize, ip: usize, vc: usize) {
         let slot = ip * self.cfg.total_vcs() + vc;
-        clear_bit(&mut self.routers[r].unresolved, slot);
         let Some(&(flit, _)) = self.routers[r].ins[ip].vcs[vc].buf.front() else {
-            return; // buffer drained since the bit was queued
+            debug_assert!(false, "resolving an empty VC buffer");
+            return;
         };
-        if self.routers[r].ins[ip].vcs[vc].alloc.is_some() {
-            return; // mid-worm; `cands` already tracks the allocated port
-        }
+        debug_assert!(self.routers[r].ins[ip].vcs[vc].alloc.is_none());
         let mask = match self.routers[r].ins[ip].vcs[vc].cand_ports {
             Some((worm, m)) if worm == flit.worm => m,
             _ => {
@@ -960,7 +1099,7 @@ impl Fabric {
         while m != 0 {
             let q = m.trailing_zeros() as usize;
             m &= m - 1;
-            set_bit(&mut self.routers[r].cands[q], slot);
+            self.routers[r].unpark(q, slot);
         }
     }
 
@@ -1069,34 +1208,19 @@ impl Fabric {
             return;
         };
         debug_assert_eq!(popped, flit);
-        self.routers[r].lane_flits[vc / self.cfg.vcs_per_lane as usize] -= 1;
+        let total_vcs = self.cfg.total_vcs();
+        let slot = ip * total_vcs + vc;
         let is_tail = flit.idx + 1 == self.worm_flits(flit.worm);
+        let rt = &mut self.routers[r];
 
         if is_head {
-            self.routers[r].ins[ip].vcs[vc].alloc = Some((p as u8, dvc));
-            self.routers[r].outs[p].owner[dvc as usize] = Some(flit.worm);
-            let topo = &self.topo;
-            if let Some(worm) = self.arena.get_mut(flit.worm) {
-                topo.on_hop(r as u32, p as u8, &mut worm.route);
-            }
-        }
-        if is_tail {
-            self.routers[r].ins[ip].vcs[vc].alloc = None;
-        }
-
-        // Re-home the slot in the arbitration bitsets: it leaves its old
-        // set(s) and, if flits remain buffered, re-enters under the updated
-        // allocation state. A committed head was distributed to every port
-        // on its cached route mask, so retract exactly those bits (plus the
-        // unresolved bit, in case a push re-queued it); a body or tail was
-        // visible to port `p` alone.
-        let slot = ip * self.cfg.total_vcs() + vc;
-        if is_head {
-            let mask = match self.routers[r].ins[ip].vcs[vc].cand_ports {
+            // The head was offered to every port on its cached route mask
+            // (as a candidate or parked); withdraw it from all of them.
+            let mask = match rt.ins[ip].vcs[vc].cand_ports {
                 Some((w, m)) if w == flit.worm => m,
                 _ => !0u64, // unknown mask: sweep every port (defensive)
             };
-            let nout = self.routers[r].outs.len();
+            let nout = rt.outs.len();
             let mut m = mask;
             while m != 0 {
                 let q = m.trailing_zeros() as usize;
@@ -1104,26 +1228,36 @@ impl Fabric {
                     break;
                 }
                 m &= m - 1;
-                clear_bit(&mut self.routers[r].cands[q], slot);
+                rt.withdraw(q, slot);
             }
-            clear_bit(&mut self.routers[r].unresolved, slot);
-        } else {
-            clear_bit(&mut self.routers[r].cands[p], slot);
+            rt.ins[ip].vcs[vc].alloc = Some((p as u8, dvc));
+            rt.holder[p * total_vcs + dvc as usize] = slot as u32;
+            rt.outs[p].owner[dvc as usize] = Some(flit.worm);
+            let topo = &self.topo;
+            if let Some(worm) = self.arena.get_mut(flit.worm) {
+                topo.on_hop(r as u32, p as u8, &mut worm.route);
+            }
         }
-        if !self.routers[r].ins[ip].vcs[vc].buf.is_empty() {
-            self.routers[r].mark_occupied(ip, vc, self.cfg.total_vcs());
-            // A tail commit fronts the next worm's unrouted head; resolve
-            // it now so output ports later in this cycle's rotation can
-            // still claim it (matching the exhaustive-scan behavior).
-            if self.routers[r].ins[ip].vcs[vc].alloc.is_none() {
+        let rt = &mut self.routers[r];
+        rt.outs[p].credits[dvc as usize] -= 1;
+        if is_tail {
+            rt.ins[ip].vcs[vc].alloc = None;
+            rt.holder[p * total_vcs + dvc as usize] = NO_SLOT;
+            rt.remove_cand(p, slot);
+            // The tail fronts the next worm's head, if any; resolve it now
+            // so output ports later in this cycle's rotation can still
+            // claim it (matching the exhaustive-scan behavior).
+            if !rt.ins[ip].vcs[vc].buf.is_empty() {
                 self.resolve_slot(r, ip, vc);
             }
+        } else {
+            rt.sync_routed(p, dvc as usize, slot, ip, vc);
         }
 
         // Credit return to whoever feeds this input port.
         match self.routers[r].ins[ip].feeder {
             Feeder::Router { router, port } => {
-                self.routers[router as usize].outs[port as usize].credits[vc] += 1;
+                self.routers[router as usize].return_credits(port as usize, vc, 1, total_vcs);
             }
             Feeder::Node(node) => {
                 self.nodes[node as usize].inj_credits[vc] += 1;
@@ -1131,11 +1265,11 @@ impl Fabric {
             Feeder::None => {}
         }
 
-        self.routers[r].outs[p].credits[dvc as usize] -= 1;
         let lane = dvc as usize / self.cfg.vcs_per_lane as usize;
-        debug_assert!(self.routers[r].outs[p].in_flight[lane].is_none());
-        self.routers[r].outs[p].in_flight[lane] = Some((flit, dvc, self.cfg.flit_cycles));
-        self.routers[r].busy_wires += 1;
+        let rt = &mut self.routers[r];
+        debug_assert!(rt.outs[p].in_flight[lane].is_none());
+        rt.outs[p].in_flight[lane] = Some((flit, dvc, self.cfg.flit_cycles));
+        rt.wires[lane] |= 1u64 << p;
     }
 
     /// Phase C: nodes serialize queued packets onto their injection links.
@@ -1209,6 +1343,113 @@ impl Fabric {
             self.cfg.flit_cycles,
         ));
         true
+    }
+}
+
+#[cfg(test)]
+impl Fabric {
+    /// Checks the arbitration state against an exhaustive sweep of every
+    /// `(output port, input slot)` pair; panics on the first disagreement.
+    /// Meant to run between steps, when every buffered flit has arrived.
+    /// Returns how many `(port, head)` pairs are parked and how many routed
+    /// worms wait on zero credit.
+    fn check_arbitration_invariants(&mut self) -> [usize; 2] {
+        let total_vcs = self.cfg.total_vcs();
+        let mut parked = [0; 2];
+        for r in 0..self.routers.len() {
+            let rt = &self.routers[r];
+            let nout = rt.outs.len();
+            for p in 0..nout {
+                for lane in 0..2 {
+                    let wire = rt.outs[p].in_flight[lane].is_some();
+                    assert_eq!(rt.wires[lane] >> p & 1 == 1, wire, "r{r}p{p}: wire mask");
+                    let live = rt.live[lane] >> p & 1 == 1;
+                    assert_eq!(live, rt.has_cands(p, lane), "r{r}p{p}: live mask");
+                }
+                for dvc in 0..total_vcs {
+                    let h = rt.holder[p * total_vcs + dvc];
+                    if h != NO_SLOT {
+                        let (ip, vc) = (h as usize / total_vcs, h as usize % total_vcs);
+                        assert_eq!(
+                            rt.ins[ip].vcs[vc].alloc,
+                            Some((p as u8, dvc as u8)),
+                            "r{r}: holder of p{p}/vc{dvc} does not hold it"
+                        );
+                    }
+                }
+            }
+            for ip in 0..self.routers[r].ins.len() {
+                for vc in 0..total_vcs {
+                    let [heads, worms] = self.check_slot(r, ip, vc);
+                    parked[0] += heads;
+                    parked[1] += worms;
+                }
+            }
+        }
+        parked
+    }
+
+    fn check_slot(&mut self, r: usize, ip: usize, vc: usize) -> [usize; 2] {
+        let total_vcs = self.cfg.total_vcs();
+        let slot = ip * total_vcs + vc;
+        let nout = self.routers[r].outs.len();
+        let in_cands = |f: &Fabric, p: usize| {
+            let rt = &f.routers[r];
+            test_bit(&rt.cands[rt.port_words(p)], slot)
+        };
+        let in_parked = |f: &Fabric, p: usize| {
+            let rt = &f.routers[r];
+            test_bit(&rt.parked[rt.port_words(p)], slot)
+        };
+        let front = self.routers[r].ins[ip].vcs[vc].buf.front().copied();
+        match (front, self.routers[r].ins[ip].vcs[vc].alloc) {
+            (_, Some((ap, avc))) => {
+                let rt = &self.routers[r];
+                assert_eq!(
+                    rt.holder[ap as usize * total_vcs + avc as usize],
+                    slot as u32
+                );
+                let starved = rt.outs[ap as usize].credits[avc as usize] == 0;
+                let open = front.is_some() && !starved;
+                for p in 0..nout {
+                    assert!(!in_parked(self, p), "r{r}s{slot}: routed worm parked");
+                    let want = p == ap as usize && open;
+                    assert_eq!(in_cands(self, p), want, "r{r}s{slot}p{p}: routed worm");
+                }
+                [0, usize::from(front.is_some() && starved)]
+            }
+            (None, None) => {
+                for p in 0..nout {
+                    assert!(
+                        !in_cands(self, p) && !in_parked(self, p),
+                        "r{r}s{slot}: empty"
+                    );
+                }
+                [0, 0]
+            }
+            (Some((flit, _)), None) => {
+                assert_eq!(flit.idx, 0, "r{r}s{slot}: unrouted body flit");
+                let mut heads = 0;
+                let mask = self.route_port_mask(r, flit);
+                assert_eq!(
+                    self.routers[r].ins[ip].vcs[vc].cand_ports,
+                    Some((flit.worm, mask)),
+                    "r{r}s{slot}: stale route mask"
+                );
+                for p in 0..nout {
+                    let (c, k) = (in_cands(self, p), in_parked(self, p));
+                    if mask >> p & 1 == 0 {
+                        assert!(!c && !k, "r{r}s{slot}p{p}: off-route head offered");
+                        continue;
+                    }
+                    assert!(c != k, "r{r}s{slot}p{p}: head must be candidate xor parked");
+                    let eligible = self.head_allocation(r, p, ip, vc, flit).is_some();
+                    assert!(!eligible || c, "r{r}s{slot}p{p}: eligible head is parked");
+                    heads += usize::from(k);
+                }
+                [heads, 0]
+            }
+        }
     }
 }
 
@@ -1436,5 +1677,86 @@ mod tests {
         let mut fab = Fabric::new(Box::new(Mesh::d2(4, 4)), FabricConfig::default());
         let p = Packet::data(PacketId::new(1), NodeId::new(2), NodeId::new(3), 8);
         fab.inject(NodeId::new(0), p);
+    }
+
+    #[test]
+    fn arbitration_sets_match_an_exhaustive_sweep_under_stress() {
+        // Saturating traffic with slow receivers, so worms stall on zero
+        // credit, ejection queues fill and adaptive heads fail allocation
+        // on several ports; the parked sets, holder table and lane masks
+        // must agree with an exhaustive sweep after every step and every
+        // ejection.
+        use crate::topology::AdaptiveMesh;
+        let ct = FabricConfig::default()
+            .with_policy(SwitchingPolicy::CutThrough)
+            .with_vc_buf_flits(8);
+        let sf = FabricConfig::default()
+            .with_policy(SwitchingPolicy::StoreAndForward)
+            .with_vc_buf_flits(8);
+        let nets: Vec<(Box<dyn Topology>, FabricConfig)> = vec![
+            (Box::new(Mesh::d2(4, 4)), FabricConfig::default()),
+            (
+                Box::new(Torus::d2(4, 4)),
+                FabricConfig::default().with_vcs_per_lane(2),
+            ),
+            (Box::new(AdaptiveMesh::d2(4, 4)), FabricConfig::default()),
+            (Box::new(FatTree::new(16)), ct),
+            (Box::new(FatTree::new(16)), sf),
+            (
+                Box::new(Cm5FatTree::new(32)),
+                FabricConfig::default()
+                    .with_vc_buf_flits(4)
+                    .with_time_mux(true),
+            ),
+            (Box::new(Butterfly::new(16, 2, 1)), FabricConfig::default()),
+        ];
+        for (topo, cfg) in nets {
+            let name = topo.name();
+            // Cut-through heads reserve room for the whole packet, so only
+            // wormhole bodies can stall on credit.
+            let wormhole = cfg.policy == SwitchingPolicy::Wormhole;
+            let mut fab = Fabric::new(topo, cfg);
+            let n = fab.num_nodes();
+            let mut rng = SimRng::from_seed_stream(99, 1);
+            let mut id = 0u64;
+            let mut delivered = 0u64;
+            let mut seen = [0; 2];
+            while fab.now().as_u64() < 600 || fab.in_network() > 0 {
+                let offering = fab.now().as_u64() < 600;
+                for s in 0..n {
+                    for lane in Lane::ALL {
+                        let src = NodeId::new(s);
+                        if !(offering && rng.gen_bool(0.5) && fab.can_inject(src, lane)) {
+                            continue;
+                        }
+                        let mut dst = rng.gen_range_usize(0..n - 1);
+                        if dst >= s {
+                            dst += 1;
+                        }
+                        id += 1;
+                        let words = 1 + rng.gen_range_usize(0..8) as u16;
+                        let mut p = Packet::data(PacketId::new(id), src, NodeId::new(dst), words);
+                        p.lane = lane;
+                        fab.inject(src, p);
+                    }
+                }
+                fab.step();
+                let parked = fab.check_arbitration_invariants();
+                seen = [seen[0].max(parked[0]), seen[1].max(parked[1])];
+                for d in 0..n {
+                    let slow = offering && d % 3 == 0 && !fab.now().as_u64().is_multiple_of(12);
+                    for lane in Lane::ALL {
+                        if !slow && fab.eject(NodeId::new(d), lane).is_some() {
+                            delivered += 1;
+                            fab.check_arbitration_invariants();
+                        }
+                    }
+                }
+                assert!(fab.now().as_u64() < 200_000, "{name}: did not drain");
+            }
+            assert_eq!(delivered, id, "{name}: packets lost");
+            assert!(seen[0] > 0, "{name}: no head was ever parked");
+            assert_eq!(seen[1] > 0, wormhole, "{name}: worms waiting on credit");
+        }
     }
 }

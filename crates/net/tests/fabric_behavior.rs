@@ -2,7 +2,7 @@
 //! two logical networks, adaptive load spreading, conservation under
 //! stress, and switching-policy semantics.
 
-use nifdy_net::topology::{Butterfly, Cm5FatTree, FatTree, Mesh, Torus};
+use nifdy_net::topology::{AdaptiveMesh, Butterfly, Cm5FatTree, FatTree, Mesh, Torus};
 use nifdy_net::{Fabric, FabricConfig, Lane, Packet, SwitchingPolicy};
 use nifdy_sim::{NodeId, PacketId, SimRng};
 
@@ -306,3 +306,169 @@ fn fat_tree_reorders_under_adaptive_routing_with_cross_traffic() {
     }
     assert!(reordered, "adaptive fat tree never reordered the stream");
 }
+
+/// FNV-1a over 64-bit words: a stable fingerprint for the golden test
+/// (std's hashers make no cross-release stability promise).
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// One golden-run outcome: the delivery fingerprint, packets delivered on
+/// each lane, and the cycle the fabric drained.
+type Golden = (u64, [u64; 2], u64);
+
+/// Saturating seeded traffic on `fab`: every node offers a request packet
+/// of 1..=8 flits to a random peer whenever its slot is free, and a short
+/// reply-lane packet one cycle in four. A quarter of the nodes drain their
+/// request lane only every 16th cycle, so ejection queues fill, worms stall
+/// on zero credit across several routers and heads fail allocation on
+/// every port they could take. After `offer_cycles` the offers stop and
+/// every node drains each cycle until the fabric is empty.
+///
+/// Every delivery's `(cycle, node, lane, packet id)` and the final
+/// [`FabricStats`](nifdy_net::FabricStats) fold into the fingerprint.
+fn golden_run(mut fab: Fabric, offer_cycles: u64) -> Golden {
+    let n = fab.num_nodes();
+    let mut rng = SimRng::from_seed_stream(2024, 13);
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut id = 0u64;
+    loop {
+        let now = fab.now().as_u64();
+        let offering = now < offer_cycles;
+        if !offering && fab.in_network() == 0 {
+            break;
+        }
+        for s in 0..n {
+            let src = NodeId::new(s);
+            for lane in Lane::ALL {
+                let offer = match lane {
+                    Lane::Request => true,
+                    Lane::Reply => rng.gen_bool(0.25),
+                };
+                if !(offering && offer && fab.can_inject(src, lane)) {
+                    continue;
+                }
+                let mut dst = rng.gen_range_usize(0..n - 1);
+                if dst >= s {
+                    dst += 1;
+                }
+                let words = match lane {
+                    Lane::Request => 1 + rng.gen_range_usize(0..8) as u16,
+                    Lane::Reply => 1 + rng.gen_range_usize(0..2) as u16,
+                };
+                id += 1;
+                let mut p = data(id, s, dst, words);
+                p.lane = lane;
+                fab.inject(src, p);
+            }
+        }
+        fab.step();
+        let now = fab.now().as_u64();
+        for d in 0..n {
+            for lane in Lane::ALL {
+                let slow = lane == Lane::Request && d % 4 == 1;
+                if offering && slow && !now.is_multiple_of(16) {
+                    continue;
+                }
+                if let Some(p) = fab.eject(NodeId::new(d), lane) {
+                    for w in [now, d as u64, lane.index() as u64, p.id.as_u64()] {
+                        h.word(w);
+                    }
+                }
+            }
+        }
+        assert!(now < 2_000_000, "golden run did not drain");
+    }
+    let st = fab.stats();
+    for lane in 0..2 {
+        h.word(st.injected[lane].get());
+        h.word(st.delivered[lane].get());
+    }
+    h.word(st.dropped.get());
+    h.word(st.latency.count());
+    h.word(st.latency.mean().to_bits());
+    h.word(st.latency.max().to_bits());
+    h.word(st.latency_hist.p50());
+    h.word(st.latency_hist.p99());
+    let delivered = [st.delivered[0].get(), st.delivered[1].get()];
+    (h.0, delivered, fab.now().as_u64())
+}
+
+#[test]
+fn arbitration_outcomes_match_golden_fingerprints_on_every_network() {
+    // Each network is built the way `NetworkKind::topology`/`fabric_config`
+    // build it in nifdy-traffic (which depends on this crate, so the table
+    // is mirrored here rather than imported). The fingerprints pin the
+    // exact arbitration outcome — every delivery's cycle and order — so
+    // any change to the fabric's scheduling, however it is implemented,
+    // must reproduce them bit for bit.
+    let seed = 7;
+    let base = FabricConfig::default().with_seed(seed);
+    let ct = base
+        .clone()
+        .with_policy(SwitchingPolicy::CutThrough)
+        .with_vc_buf_flits(8);
+    let sf = base
+        .clone()
+        .with_policy(SwitchingPolicy::StoreAndForward)
+        .with_vc_buf_flits(8);
+    let cm5 = base.clone().with_vc_buf_flits(4).with_time_mux(true);
+    let torus = base.clone().with_vcs_per_lane(2);
+    let nets: Vec<(&str, Fabric)> = vec![
+        (
+            "mesh-2d",
+            Fabric::new(Box::new(Mesh::d2(8, 8)), base.clone()),
+        ),
+        (
+            "mesh-3d",
+            Fabric::new(Box::new(Mesh::d3(4, 4, 4)), base.clone()),
+        ),
+        ("torus-2d", Fabric::new(Box::new(Torus::d2(8, 8)), torus)),
+        (
+            "adaptive-mesh-2d",
+            Fabric::new(Box::new(AdaptiveMesh::d2(8, 8)), base.clone()),
+        ),
+        ("fat-tree", Fabric::new(Box::new(FatTree::new(64)), ct)),
+        ("sf-fat-tree", Fabric::new(Box::new(FatTree::new(64)), sf)),
+        (
+            "cm5-fat-tree",
+            Fabric::new(Box::new(Cm5FatTree::new(64)), cm5),
+        ),
+        (
+            "butterfly",
+            Fabric::new(Box::new(Butterfly::new(64, 1, seed)), base.clone()),
+        ),
+        (
+            "multibfly",
+            Fabric::new(Box::new(Butterfly::new(64, 2, seed)), base),
+        ),
+    ];
+    let expected = GOLDEN;
+    let got: Vec<(&str, Golden)> = nets
+        .into_iter()
+        .map(|(name, fab)| (name, golden_run(fab, 4_000)))
+        .collect();
+    for ((name, g), (ename, e)) in got.iter().zip(expected.iter()) {
+        assert_eq!(name, ename);
+        assert_eq!(g, e, "{name}: arbitration outcome changed");
+    }
+}
+
+/// Recorded before the arbiter parked blocked slots.
+const GOLDEN: [(&str, Golden); 9] = [
+    ("mesh-2d", (0x7910699c594b719f, [2212, 9001], 4276)),
+    ("mesh-3d", (0xbfdb81be54a96281, [3680, 14157], 4211)),
+    ("torus-2d", (0xbf078518577a351c, [2554, 10447], 4302)),
+    ("adaptive-mesh-2d", (0x8979ab228cea5d53, [1358, 5817], 4464)),
+    ("fat-tree", (0x0593a22142e7b2f2, [4490, 17741], 4398)),
+    ("sf-fat-tree", (0xbe5554498d7fcd91, [4010, 18428], 4591)),
+    ("cm5-fat-tree", (0x911818a6db67e801, [1524, 5559], 4553)),
+    ("butterfly", (0x6fa092042207d75e, [3301, 12860], 4174)),
+    ("multibfly", (0x87b39037b82278e8, [4905, 16760], 4172)),
+];
