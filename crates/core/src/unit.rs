@@ -29,7 +29,7 @@
 //!   configured — abandons undeliverable transfers with a typed
 //!   [`DeliveryFailure`] instead of retrying forever.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use nifdy_net::{AckInfo, BulkGrant, BulkTag, Lane, NetPort, Packet, Wire};
 use nifdy_sim::{Cycle, NodeId, PacketId, SimRng, Wakeup};
@@ -99,8 +99,6 @@ struct OutDialog {
     /// The exit packet has been sent; no further traffic to `peer` until the
     /// dialog fully drains (preserves pairwise order).
     exiting: bool,
-    /// Unacked copies for retransmission, in sequence order.
-    copies: VecDeque<BulkCopy>,
 }
 
 /// Receiver-side state of one granted dialog slot.
@@ -109,12 +107,37 @@ struct InDialog {
     peer: NodeId,
     /// Absolute count of packets delivered in order (== next expected seq).
     expected: u64,
-    /// Out-of-order packets buffered in the window, by absolute seq.
-    buf: BTreeMap<u64, Packet>,
     /// Delivered count as of the last window ack sent.
     last_acked: u64,
     /// Last cycle any packet of this dialog arrived (reclaim watchdog).
     last_activity: Cycle,
+}
+
+/// Everything the unit remembers about one peer, in both directions.
+#[derive(Debug, Default)]
+struct PeerState {
+    /// Sender: the alternating duplicate bit of the last scalar sent (§6.2).
+    alt_bit: bool,
+    /// Sender: a bulk dialog to this peer was torn down by the retry
+    /// budget, so traffic to it stays scalar (a fresh dialog against the
+    /// receiver's stale slot state could not resynchronize).
+    bulk_poisoned: bool,
+    /// Sender: round-trip estimator (adaptive RTO only).
+    rtt: RttEstimator,
+    /// Receiver: the dialog slot granted to this peer.
+    dialog: Option<u8>,
+    /// Receiver: duplicate bit of the last scalar inserted into arrivals.
+    last_insert_bit: Option<bool>,
+    /// Receiver: duplicate bit of the last scalar acknowledged.
+    last_acked_bit: Option<bool>,
+}
+
+/// Index of the reorder cell holding absolute sequence `seq` of dialog
+/// `slot`: each slot owns `window` consecutive cells, and the `window`
+/// sequences a dialog can hold at once fall in distinct cells.
+fn reorder_cell(window: u8, slot: usize, seq: u64) -> usize {
+    let w = usize::from(window);
+    slot * w + (seq % w as u64) as usize
 }
 
 /// Tombstone for a recently closed dialog slot (lossy-network robustness:
@@ -174,13 +197,9 @@ pub struct NifdyUnit {
     out_dialog: Option<OutDialog>,
     bulk_request_pending: Option<NodeId>,
     retx_queue: VecDeque<Packet>,
-    alt_bits: BTreeMap<NodeId, bool>,
-    /// Peers whose outgoing bulk dialog was torn down by the retry budget:
-    /// traffic to them stays scalar (a fresh dialog against the receiver's
-    /// stale slot state could not resynchronize).
-    bulk_poisoned: BTreeSet<NodeId>,
-    /// Per-destination round-trip estimators (adaptive RTO only).
-    rtt: BTreeMap<NodeId, RttEstimator>,
+    /// Unacked copies of the outgoing dialog's packets, in sequence order
+    /// (§6.2); allocated once and empty whenever no dialog is open.
+    copies: VecDeque<BulkCopy>,
     /// Jitter source for the retransmission backoff.
     jitter: SimRng,
     /// Typed failures awaiting [`Nic::take_failures`].
@@ -189,12 +208,16 @@ pub struct NifdyUnit {
     // Receiver side.
     arrivals: VecDeque<Packet>,
     dialogs: Vec<Option<InDialog>>,
+    /// The paper's `D·W` reorder buffers, allocated once: out-of-order bulk
+    /// packets wait here, in the cell [`reorder_cell`] names.
+    reorder: Vec<Option<Packet>>,
     closed: Vec<Option<ClosedDialog>>,
-    peer_dialog: BTreeMap<NodeId, u8>,
     ack_queue: VecDeque<PendingAck>,
     ack_delay: VecDeque<(Cycle, NodeId, AckInfo)>,
-    last_insert_bit: BTreeMap<NodeId, bool>,
-    last_acked_bit: BTreeMap<NodeId, bool>,
+
+    /// Per-peer state, sorted by peer id (binary-searched; a table indexed
+    /// by id would cost every unit a row per node of the machine).
+    peers: Vec<(NodeId, PeerState)>,
 
     trace: TraceHandle,
     /// True while an eligibility stall episode is in progress (the stall
@@ -223,6 +246,7 @@ impl NifdyUnit {
             panic!("invalid NIFDY config: {e}");
         }
         let d = cfg.max_dialogs as usize;
+        let w = usize::from(cfg.window);
         NifdyUnit {
             node,
             now: Cycle::ZERO,
@@ -232,19 +256,16 @@ impl NifdyUnit {
             out_dialog: None,
             bulk_request_pending: None,
             retx_queue: VecDeque::with_capacity(cfg.retx_queue_cap as usize),
-            alt_bits: BTreeMap::new(),
-            bulk_poisoned: BTreeSet::new(),
-            rtt: BTreeMap::new(),
+            copies: VecDeque::with_capacity(w),
             jitter: SimRng::from_seed_stream(node.index() as u64, JITTER_STREAM),
             failures: Vec::new(),
             arrivals: VecDeque::with_capacity(cfg.arrivals_capacity as usize),
             dialogs: (0..d).map(|_| None).collect(),
+            reorder: (0..d * w).map(|_| None).collect(),
             closed: (0..d).map(|_| None).collect(),
-            peer_dialog: BTreeMap::new(),
             ack_queue: VecDeque::with_capacity(2 * cfg.arrivals_capacity as usize),
             ack_delay: VecDeque::with_capacity(2 * cfg.arrivals_capacity as usize),
-            last_insert_bit: BTreeMap::new(),
-            last_acked_bit: BTreeMap::new(),
+            peers: Vec::new(),
             trace: TraceHandle::off(),
             elig_stalled: false,
             next_wake: Wakeup::Now,
@@ -281,13 +302,40 @@ impl NifdyUnit {
     /// Smoothed round-trip estimate to `dst` in cycles, once adaptive RTO
     /// has collected at least one sample.
     pub fn srtt(&self, dst: NodeId) -> Option<u64> {
-        self.rtt.get(&dst).and_then(RttEstimator::srtt)
+        self.peer_state(dst).and_then(|p| p.rtt.srtt())
     }
 
     /// True when a torn-down bulk dialog has downgraded traffic to `dst` to
     /// scalar-only mode.
     pub fn bulk_poisoned(&self, dst: NodeId) -> bool {
-        self.bulk_poisoned.contains(&dst)
+        self.peer_state(dst).is_some_and(|p| p.bulk_poisoned)
+    }
+
+    /// The state kept for peer `id`, if any.
+    fn peer_state(&self, id: NodeId) -> Option<&PeerState> {
+        let at = self.peers.binary_search_by_key(&id, |&(p, _)| p).ok()?;
+        self.peers.get(at).map(|(_, s)| s)
+    }
+
+    /// The state kept for peer `id`, created on first use.
+    fn peer_state_mut(&mut self, id: NodeId) -> &mut PeerState {
+        let at = match self.peers.binary_search_by_key(&id, |&(p, _)| p) {
+            Ok(at) => at,
+            Err(at) => {
+                self.peers.insert(at, (id, PeerState::default()));
+                at
+            }
+        };
+        &mut self.peers[at].1
+    }
+
+    /// Empties dialog `slot`'s reorder cells, so the slot's next grant
+    /// starts from clean buffers.
+    fn clear_reorder(&mut self, slot: usize) {
+        let w = usize::from(self.cfg.window);
+        if let Some(cells) = self.reorder.get_mut(slot * w..(slot + 1) * w) {
+            cells.iter_mut().for_each(|c| *c = None);
+        }
     }
 
     /// Timeout for a *fresh* transmission to `dst`: the configured fixed
@@ -298,9 +346,8 @@ impl NifdyUnit {
         if !self.cfg.adaptive_rto {
             return base;
         }
-        self.rtt
-            .get(&dst)
-            .and_then(RttEstimator::rto)
+        self.peer_state(dst)
+            .and_then(|p| p.rtt.rto())
             .map(|r| r.clamp(self.cfg.rto_min, self.cfg.rto_max))
             .unwrap_or(base)
     }
@@ -322,7 +369,7 @@ impl NifdyUnit {
     /// Feeds one RTT sample for `dst`; callers enforce Karn's rule.
     fn sample_rtt(&mut self, dst: NodeId, rtt: u64) {
         if self.cfg.adaptive_rto {
-            let est = self.rtt.entry(dst).or_default();
+            let est = &mut self.peer_state_mut(dst).rtt;
             est.sample(rtt);
             let (srtt, rto) = (est.srtt().unwrap_or(0), est.rto().unwrap_or(0));
             trace_event!(
@@ -371,7 +418,7 @@ impl NifdyUnit {
         if !requested {
             return BulkGrant::NotRequested;
         }
-        if let Some(&slot) = self.peer_dialog.get(&src) {
+        if let Some(slot) = self.peer_state(src).and_then(|p| p.dialog) {
             // Idempotent re-grant (duplicate request after a lost ack).
             return BulkGrant::Granted {
                 dialog: slot,
@@ -388,12 +435,11 @@ impl NifdyUnit {
                 self.dialogs[slot] = Some(InDialog {
                     peer: src,
                     expected: 0,
-                    buf: BTreeMap::new(),
                     last_acked: 0,
                     last_activity: self.now,
                 });
                 self.closed[slot] = None;
-                self.peer_dialog.insert(src, slot as u8);
+                self.peer_state_mut(src).dialog = Some(slot as u8);
                 self.stats.dialogs_granted.incr();
                 trace_event!(
                     self.trace,
@@ -436,7 +482,7 @@ impl NifdyUnit {
             return;
         }
         let grant = self.decide_grant(bulk_request, pkt.src);
-        self.last_acked_bit.insert(pkt.src, dup_bit);
+        self.peer_state_mut(pkt.src).last_acked_bit = Some(dup_bit);
         self.queue_ack(
             pkt.src,
             AckInfo::Scalar {
@@ -486,7 +532,6 @@ impl NifdyUnit {
                                 next_seq: 0,
                                 acked: 0,
                                 exiting: false,
-                                copies: VecDeque::with_capacity(usize::from(window)),
                             });
                             trace_event!(
                                 self.trace,
@@ -568,15 +613,19 @@ impl NifdyUnit {
                     );
                 }
                 if advance.is_some() {
-                    while d.copies.front().is_some_and(|c| c.seq < count) {
-                        let Some(c) = d.copies.pop_front() else { break };
+                    while self.copies.front().is_some_and(|c| c.seq < count) {
+                        let Some(c) = self.copies.pop_front() else {
+                            break;
+                        };
                         // Karn's rule: retransmitted copies give no sample.
                         if c.retries == 0 {
                             self.sample_rtt(from, now.saturating_since(c.first_sent));
                         }
                     }
                 }
-                if !closed {
+                if closed {
+                    self.copies.clear();
+                } else {
                     self.out_dialog = Some(d);
                 }
             }
@@ -650,7 +699,11 @@ impl NifdyUnit {
         if delta > 0 {
             self.stats.bulk_out_of_order.incr();
         }
-        d.buf.entry(abs).or_insert(pkt);
+        // A duplicate within the window keeps the first copy.
+        let cell = reorder_cell(self.cfg.window, slot, abs);
+        if let Some(c @ None) = self.reorder.get_mut(cell) {
+            *c = Some(pkt);
+        }
     }
 
     /// Streams in-order bulk packets to the arrivals FIFO and emits window
@@ -664,8 +717,8 @@ impl NifdyUnit {
                 let Some(d) = self.dialogs[slot].as_mut() else {
                     break;
                 };
-                let expected = d.expected;
-                let Some(pkt) = d.buf.remove(&expected) else {
+                let cell = reorder_cell(self.cfg.window, slot, d.expected);
+                let Some(pkt) = self.reorder.get_mut(cell).and_then(Option::take) else {
                     break;
                 };
                 d.expected += 1;
@@ -725,7 +778,8 @@ impl NifdyUnit {
                         until: self.now + linger,
                     });
                     self.dialogs[slot] = None;
-                    self.peer_dialog.remove(&peer);
+                    self.peer_state_mut(peer).dialog = None;
+                    self.clear_reorder(slot);
                     break;
                 } else if boundary {
                     let cum = ((delivered - 1) % SEQ_SPACE) as u8;
@@ -761,12 +815,17 @@ impl NifdyUnit {
             return true;
         };
         if self.cfg.retx_timeout.is_some() && needs_ack {
-            if self.last_insert_bit.get(&pkt.src) == Some(&dup_bit) {
+            let seen = self.peer_state(pkt.src);
+            let (inserted, acked) = (
+                seen.and_then(|p| p.last_insert_bit),
+                seen.and_then(|p| p.last_acked_bit),
+            );
+            if inserted == Some(dup_bit) {
                 // Duplicate of a packet already inserted; re-ack only if the
                 // original was already accepted, otherwise stay silent (the
                 // original's ack is still coming).
                 self.stats.duplicates_dropped.incr();
-                if self.last_acked_bit.get(&pkt.src) == Some(&dup_bit) {
+                if acked == Some(dup_bit) {
                     let src = pkt.src;
                     let grant = self.decide_grant(bulk_request, src);
                     self.queue_ack(
@@ -779,7 +838,7 @@ impl NifdyUnit {
                 }
                 return true;
             }
-            self.last_insert_bit.insert(pkt.src, dup_bit);
+            self.peer_state_mut(pkt.src).last_insert_bit = Some(dup_bit);
         }
         if self.cfg.ack_on_insert {
             self.ack_scalar(&pkt);
@@ -888,8 +947,8 @@ impl NifdyUnit {
                     // The window admitted this send, and acked copies are
                     // pruned on ack receipt, so outstanding copies stay
                     // strictly under the window.
-                    debug_assert!(d.copies.len() < usize::from(d.window));
-                    d.copies.push_back(BulkCopy {
+                    debug_assert!(self.copies.len() < usize::from(d.window));
+                    self.copies.push_back(BulkCopy {
                         seq: d.next_seq - 1,
                         pkt: pkt.clone(),
                         first_sent: self.now,
@@ -915,13 +974,13 @@ impl NifdyUnit {
             let request = out.want_bulk
                 && self.out_dialog.is_none()
                 && self.bulk_request_pending.is_none()
-                && !self.bulk_poisoned.contains(&out.dst)
+                && !self.bulk_poisoned(out.dst)
                 && self.backlog_for(out.dst, usize::MAX)
                     >= usize::from(self.cfg.bulk_request_min_backlog);
             let dup_bit = if self.cfg.retx_timeout.is_some() {
-                let bit = self.alt_bits.entry(out.dst).or_insert(false);
-                *bit = !*bit;
-                *bit
+                let state = self.peer_state_mut(out.dst);
+                state.alt_bit = !state.alt_bit;
+                state.alt_bit
             } else {
                 false
             };
@@ -1033,43 +1092,46 @@ impl NifdyUnit {
         }
 
         // Bulk dialog copies; one exhausted copy tears the whole dialog down.
-        if let Some(mut d) = self.out_dialog.take() {
-            let peer = d.peer;
-            let mut dead = false;
-            for c in &mut d.copies {
-                if self.now.saturating_since(c.last_sent) < c.wait {
-                    continue;
-                }
-                if budget.is_some_and(|b| c.retries >= b) {
-                    dead = true;
-                    break;
-                }
-                if self.retx_queue.len() >= cap {
-                    self.stats.retx_queue_overflow.incr();
-                    continue;
-                }
-                self.retx_queue.push_back(c.pkt.clone());
-                self.stats.retransmitted.incr();
-                c.retries += 1;
-                c.last_sent = self.now;
-                c.wait = self.backoff_rto(peer, c.retries);
-                trace_event!(
-                    self.trace,
-                    self.now,
-                    self.node,
-                    EventKind::Retransmit {
-                        dst: peer,
-                        rto: c.wait,
-                        retries: c.retries,
-                        bulk: true,
-                        seq: (c.seq % SEQ_SPACE) as u8,
-                    }
-                );
+        // The ring is detached so the backoff below can borrow `self`.
+        let Some(peer) = self.out_dialog.as_ref().map(|d| d.peer) else {
+            return;
+        };
+        let mut copies = std::mem::take(&mut self.copies);
+        let mut dead = false;
+        for c in &mut copies {
+            if self.now.saturating_since(c.last_sent) < c.wait {
+                continue;
             }
-            if dead {
+            if budget.is_some_and(|b| c.retries >= b) {
+                dead = true;
+                break;
+            }
+            if self.retx_queue.len() >= cap {
+                self.stats.retx_queue_overflow.incr();
+                continue;
+            }
+            self.retx_queue.push_back(c.pkt.clone());
+            self.stats.retransmitted.incr();
+            c.retries += 1;
+            c.last_sent = self.now;
+            c.wait = self.backoff_rto(peer, c.retries);
+            trace_event!(
+                self.trace,
+                self.now,
+                self.node,
+                EventKind::Retransmit {
+                    dst: peer,
+                    rto: c.wait,
+                    retries: c.retries,
+                    bulk: true,
+                    seq: (c.seq % SEQ_SPACE) as u8,
+                }
+            );
+        }
+        self.copies = copies;
+        if dead {
+            if let Some(d) = self.out_dialog.take() {
                 self.teardown_dialog(d);
-            } else {
-                self.out_dialog = Some(d);
             }
         }
     }
@@ -1108,8 +1170,9 @@ impl NifdyUnit {
     fn teardown_dialog(&mut self, d: OutDialog) {
         self.stats.dialogs_torn_down.incr();
         self.stats.delivery_failures.incr();
-        self.bulk_poisoned.insert(d.peer);
-        let retries = d.copies.iter().map(|c| c.retries).max().unwrap_or(0);
+        self.peer_state_mut(d.peer).bulk_poisoned = true;
+        let retries = self.copies.iter().map(|c| c.retries).max().unwrap_or(0);
+        self.copies.clear();
         trace_event!(
             self.trace,
             self.now,
@@ -1186,7 +1249,8 @@ impl NifdyUnit {
                 until: self.now + 4 * span,
             });
             self.dialogs[slot] = None;
-            self.peer_dialog.remove(&peer);
+            self.peer_state_mut(peer).dialog = None;
+            self.clear_reorder(slot);
         }
     }
 
@@ -1215,19 +1279,26 @@ impl NifdyUnit {
     /// the §6.2 retransmission machinery re-sends them and the fresh
     /// incarnation accepts them as new inserts, so they self-heal.
     pub fn reset_peer(&mut self, peer: NodeId) {
-        // Sender side: tear down the outgoing dialog, then lift the
-        // poison — the peer's slate is clean, a new dialog can work.
+        // Sender side: tear down the outgoing dialog.
         if let Some(d) = self.out_dialog.take_if(|d| d.peer == peer) {
             self.teardown_dialog(d);
         }
-        self.bulk_poisoned.remove(&peer);
         if self.bulk_request_pending == Some(peer) {
             // The grant this latch awaits died with the old incarnation.
             self.bulk_request_pending = None;
         }
+        // Lift the poison (the peer's slate is clean, a new dialog can
+        // work) and forget the old incarnation's duplicate bits and grant.
+        // The alternating bit and the RTT estimate stay: they describe our
+        // own sends and the path.
+        let state = self.peer_state_mut(peer);
+        state.bulk_poisoned = false;
+        state.last_insert_bit = None;
+        state.last_acked_bit = None;
+        let slot = state.dialog.take();
 
         // Receiver side: free the granted slot without a tombstone.
-        if let Some(slot) = self.peer_dialog.remove(&peer).map(usize::from) {
+        if let Some(slot) = slot.map(usize::from) {
             if self
                 .dialogs
                 .get(slot)
@@ -1247,6 +1318,7 @@ impl NifdyUnit {
                 if let Some(d) = self.dialogs.get_mut(slot) {
                     *d = None;
                 }
+                self.clear_reorder(slot);
             }
         }
         for c in self.closed.iter_mut() {
@@ -1254,8 +1326,6 @@ impl NifdyUnit {
                 *c = None;
             }
         }
-        self.last_insert_bit.remove(&peer);
-        self.last_acked_bit.remove(&peer);
         self.ack_queue.retain(|a| a.dst != peer);
         self.ack_delay.retain(|(_, dst, _)| *dst != peer);
         self.wake_stale = true;
@@ -1286,8 +1356,10 @@ impl NifdyUnit {
         if !self.pool.is_empty() && (!self.elig_stalled || self.pick_eligible().is_some()) {
             return Wakeup::Now;
         }
-        for d in self.dialogs.iter().flatten() {
-            if d.buf.contains_key(&d.expected) {
+        for (slot, d) in self.dialogs.iter().enumerate() {
+            let Some(d) = d else { continue };
+            let cell = reorder_cell(self.cfg.window, slot, d.expected);
+            if self.reorder.get(cell).is_some_and(Option::is_some) {
                 return Wakeup::Now;
             }
         }
@@ -1309,10 +1381,8 @@ impl NifdyUnit {
             for e in &self.opt {
                 wake = wake.earliest(Wakeup::at_or_now(e.sent_at + e.wait, now));
             }
-            if let Some(d) = &self.out_dialog {
-                for c in &d.copies {
-                    wake = wake.earliest(Wakeup::at_or_now(c.last_sent + c.wait, now));
-                }
+            for c in &self.copies {
+                wake = wake.earliest(Wakeup::at_or_now(c.last_sent + c.wait, now));
             }
             if let Some(budget) = self.cfg.retx_budget {
                 let span = if self.cfg.adaptive_rto {
@@ -1653,7 +1723,6 @@ mod tests {
             next_seq: 300, // past the 256-value wire space
             acked: 252,
             exiting: false,
-            copies: VecDeque::new(),
         });
         // Receiver acks through absolute 259: wire residue (259 - 1) % 256 = 2.
         u.handle_ack(
@@ -1688,7 +1757,6 @@ mod tests {
             next_seq: 4,
             acked: 0,
             exiting: false,
-            copies: VecDeque::new(),
         });
         // cum 9 would mean 10 delivered > 4 sent: bogus, ignored.
         u.handle_ack(
@@ -1713,7 +1781,6 @@ mod tests {
             next_seq: 10,
             acked: 8,
             exiting: true,
-            copies: VecDeque::new(),
         });
         u.handle_ack(
             peer,
@@ -1846,6 +1913,157 @@ mod tests {
         assert_eq!(u.arrivals.len(), 1, "duplicate delivered");
         assert_eq!(u.stats.duplicates_dropped.get(), 1);
         assert!(u.ack_queue.len() > acks_before, "no re-ack queued");
+    }
+
+    /// A bulk packet of dialog `dialog` from `src`, tagged with the wire
+    /// residue of absolute sequence `abs` and identified by `id`.
+    fn bulk_pkt(src: NodeId, dialog: u8, abs: u64, id: u64, exit: bool) -> Packet {
+        let seq = (abs % SEQ_SPACE) as u8;
+        let mut p = Packet::data(PacketId::new(id), src, NodeId::new(0), 8);
+        p.wire = Wire::Data {
+            bulk_request: false,
+            bulk_exit: exit,
+            bulk: Some(BulkTag { dialog, seq }),
+            needs_ack: true,
+            dup_bit: false,
+            piggy_ack: None,
+        };
+        p
+    }
+
+    fn granted_slot(u: &mut NifdyUnit, peer: NodeId) -> u8 {
+        match u.decide_grant(true, peer) {
+            BulkGrant::Granted { dialog, .. } => dialog,
+            other => panic!("grant expected, got {other:?}"),
+        }
+    }
+
+    /// Hands `pkt` to the receive side and streams what is in order.
+    fn arrive(u: &mut NifdyUnit, pkt: Packet) {
+        let Wire::Data {
+            bulk: Some(tag), ..
+        } = pkt.wire
+        else {
+            panic!("bulk packet expected");
+        };
+        u.receive_bulk(pkt, tag);
+        u.drain_dialogs();
+    }
+
+    /// Ids of the packets in the arrivals FIFO, draining it.
+    fn arrived(u: &mut NifdyUnit) -> Vec<u64> {
+        u.arrivals.drain(..).map(|p| p.id.as_u64()).collect()
+    }
+
+    #[test]
+    fn reorder_cells_release_out_of_order_arrivals_in_order() {
+        let mut u = unit(params(4, 4, 1, 4).with_arrivals_capacity(8));
+        let peer = NodeId::new(3);
+        let slot = granted_slot(&mut u, peer);
+        for abs in [2, 1, 3] {
+            arrive(&mut u, bulk_pkt(peer, slot, abs, 100 + abs, false));
+            assert!(
+                arrived(&mut u).is_empty(),
+                "seq {abs} released before seq 0"
+            );
+        }
+        assert_eq!(u.stats.bulk_out_of_order.get(), 3);
+        assert_eq!(u.compute_wakeup(u.now), Wakeup::Quiescent);
+        arrive(&mut u, bulk_pkt(peer, slot, 0, 100, false));
+        assert_eq!(arrived(&mut u), vec![100, 101, 102, 103]);
+        assert!(u.reorder.iter().all(Option::is_none), "cells drained");
+    }
+
+    #[test]
+    fn a_duplicate_in_the_window_keeps_the_first_copy() {
+        let mut u = unit(params(4, 4, 1, 4).with_arrivals_capacity(8));
+        let peer = NodeId::new(3);
+        let slot = granted_slot(&mut u, peer);
+        arrive(&mut u, bulk_pkt(peer, slot, 1, 1, false));
+        arrive(&mut u, bulk_pkt(peer, slot, 1, 2, false));
+        arrive(&mut u, bulk_pkt(peer, slot, 0, 0, false));
+        assert_eq!(arrived(&mut u), vec![0, 1], "the first copy of seq 1 wins");
+    }
+
+    #[test]
+    fn reorder_cells_follow_the_absolute_sequence_across_the_wire_wrap() {
+        // W = 12 does not divide the 256-value wire space, so a cell
+        // picked from the wire residue would collide after the wrap.
+        let mut u = unit(params(4, 4, 2, 12).with_arrivals_capacity(64));
+        let peer = NodeId::new(5);
+        let slot = granted_slot(&mut u, peer);
+        let mut got = Vec::new();
+        for block in 0..50u64 {
+            // Each block of 12 arrives back to front.
+            for abs in (block * 12..(block + 1) * 12).rev() {
+                arrive(&mut u, bulk_pkt(peer, slot, abs, abs, false));
+            }
+            got.extend(arrived(&mut u));
+        }
+        assert_eq!(got, (0..600).collect::<Vec<u64>>());
+        assert_eq!(u.stats.duplicates_dropped.get(), 0);
+    }
+
+    /// Leaves one out-of-order packet (id 99, absolute seq 1) in `peer`'s
+    /// reorder cells.
+    fn buffer_a_gap(u: &mut NifdyUnit, peer: NodeId) -> u8 {
+        let slot = granted_slot(u, peer);
+        arrive(u, bulk_pkt(peer, slot, 1, 99, false));
+        assert!(u.reorder.iter().any(Option::is_some));
+        slot
+    }
+
+    /// Grants `slot` to `peer` afresh and checks that its first packet
+    /// streams alone: no cell of the previous dialog survives.
+    fn assert_fresh_slot(u: &mut NifdyUnit, peer: NodeId, slot: u8) {
+        assert!(u.reorder.iter().all(Option::is_none), "stale cell kept");
+        assert_eq!(granted_slot(u, peer), slot);
+        arrive(u, bulk_pkt(peer, slot, 0, 7, false));
+        assert_eq!(arrived(u), vec![7]);
+        assert_ne!(u.compute_wakeup(u.now), Wakeup::Now, "no cell is ready");
+    }
+
+    #[test]
+    fn a_reclaimed_slot_starts_with_empty_cells() {
+        let mut u = unit(
+            params(4, 4, 1, 4)
+                .with_retx_timeout(10)
+                .with_retx_budget(2)
+                .with_arrivals_capacity(8),
+        );
+        let slot = buffer_a_gap(&mut u, NodeId::new(3));
+        u.now = Cycle::new(10 * (2 + 4));
+        u.reclaim_dialogs();
+        assert_eq!(u.stats.dialogs_reclaimed.get(), 1);
+        u.now = Cycle::new(1_000); // past the tombstone
+        assert_fresh_slot(&mut u, NodeId::new(2), slot);
+    }
+
+    #[test]
+    fn a_reset_peer_slot_starts_with_empty_cells() {
+        let mut u = unit(params(4, 4, 1, 4).with_arrivals_capacity(8));
+        let peer = NodeId::new(3);
+        let slot = buffer_a_gap(&mut u, peer);
+        u.reset_peer(peer);
+        assert_fresh_slot(&mut u, peer, slot);
+    }
+
+    #[test]
+    fn a_closed_slot_starts_with_empty_cells() {
+        let mut u = unit(params(4, 4, 1, 4).with_arrivals_capacity(8));
+        let peer = NodeId::new(3);
+        let slot = granted_slot(&mut u, peer);
+        // A stray packet past the exit waits in a cell when the dialog
+        // closes.
+        arrive(&mut u, bulk_pkt(peer, slot, 2, 99, false));
+        arrive(&mut u, bulk_pkt(peer, slot, 1, 1, true));
+        arrive(&mut u, bulk_pkt(peer, slot, 0, 0, false));
+        assert_eq!(arrived(&mut u), vec![0, 1]);
+        assert!(
+            u.dialogs.iter().all(Option::is_none),
+            "exit closed the slot"
+        );
+        assert_fresh_slot(&mut u, NodeId::new(2), slot);
     }
 
     #[test]
@@ -2008,14 +2226,14 @@ mod tests {
             next_seq: 3,
             acked: 1,
             exiting: false,
-            copies: VecDeque::from([BulkCopy {
-                seq: 1,
-                pkt,
-                first_sent: Cycle::ZERO,
-                last_sent: Cycle::ZERO,
-                retries: 1,
-                wait: 10,
-            }]),
+        });
+        u.copies.push_back(BulkCopy {
+            seq: 1,
+            pkt,
+            first_sent: Cycle::ZERO,
+            last_sent: Cycle::ZERO,
+            retries: 1,
+            wait: 10,
         });
         u.now = Cycle::new(50);
         u.check_retx();
@@ -2036,7 +2254,7 @@ mod tests {
     fn poisoned_peers_fall_back_to_scalar() {
         let mut u = unit(params(8, 8, 1, 4).with_retx_timeout(10).with_retx_budget(1));
         let dst = NodeId::new(2);
-        u.bulk_poisoned.insert(dst);
+        u.peer_state_mut(dst).bulk_poisoned = true;
         for _ in 0..4 {
             assert!(u.try_send(OutboundPacket::new(dst, 8).with_bulk(true), Cycle::ZERO));
         }

@@ -21,7 +21,7 @@
 //! carrier-level address of the process hosting it — the frame bytes still
 //! carry the logical destination, which is what the far daemon demuxes on).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use nifdy::{Delivered, DeliveryFailure, OutboundPacket};
 use nifdy_net::Lane;
@@ -78,11 +78,12 @@ struct Shard {
 pub struct NifdyNode<C: BatchTransport> {
     cfg: NodeConfig,
     shards: Vec<Shard>,
-    /// Logical node index -> (shard, slot-in-shard).
-    slot_of: BTreeMap<usize, (usize, usize)>,
+    /// Indexed by logical node id: `(shard, slot-in-shard)` of hosted nodes.
+    slot_of: Vec<Option<(usize, usize)>>,
     carriers: Vec<C>,
-    /// Logical destination index -> (carrier index, carrier-level address).
-    routes: BTreeMap<usize, (usize, NodeId)>,
+    /// Indexed by logical destination id: `(carrier index, carrier-level
+    /// address)` of routed nodes.
+    routes: Vec<Option<(usize, NodeId)>>,
     /// Per-carrier send accumulators, flushed once per round.
     outboxes: Vec<Vec<(NodeId, Lane, Vec<u8>)>>,
     /// Daemon-internal frames delivered at the start of the next round.
@@ -103,7 +104,7 @@ pub struct NifdyNode<C: BatchTransport> {
 impl<C: BatchTransport> std::fmt::Debug for NifdyNode<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NifdyNode")
-            .field("endpoints", &self.slot_of.len())
+            .field("endpoints", &self.num_endpoints())
             .field("shards", &self.shards.len())
             .field("carriers", &self.carriers.len())
             .field("rounds", &self.stats.rounds)
@@ -128,9 +129,9 @@ impl<C: BatchTransport> NifdyNode<C> {
         NifdyNode {
             cfg,
             shards,
-            slot_of: BTreeMap::new(),
+            slot_of: Vec::new(),
             carriers: Vec::new(),
-            routes: BTreeMap::new(),
+            routes: Vec::new(),
             outboxes: Vec::new(),
             pending_local: Vec::new(),
             deliveries: VecDeque::new(),
@@ -164,10 +165,7 @@ impl<C: BatchTransport> NifdyNode<C> {
     ///
     /// Panics if `node` is already hosted.
     pub fn add_endpoint(&mut self, node: NodeId, watched: Vec<NodeId>) {
-        assert!(
-            !self.slot_of.contains_key(&node.index()),
-            "node {node} already hosted"
-        );
+        assert!(self.hosted(node).is_none(), "node {node} already hosted");
         let s = shard_of(node, self.cfg.shards);
         let protocol = self.cfg.protocol.clone();
         let factory: EndpointFactory =
@@ -182,7 +180,7 @@ impl<C: BatchTransport> NifdyNode<C> {
         sup.attach_trace(self.trace.clone());
         let slot_idx = self.shards[s].slots.len();
         self.shards[s].slots.push(Slot { node, sup });
-        self.slot_of.insert(node.index(), (s, slot_idx));
+        set_dense(&mut self.slot_of, node, (s, slot_idx));
     }
 
     /// Attaches a carrier, returning its index for [`set_route`](Self::set_route).
@@ -203,17 +201,21 @@ impl<C: BatchTransport> NifdyNode<C> {
             carrier < self.carriers.len(),
             "carrier {carrier} not attached"
         );
-        self.routes.insert(dst.index(), (carrier, via));
+        set_dense(&mut self.routes, dst, (carrier, via));
     }
 
     /// Hosted logical nodes, in id order.
     pub fn endpoints(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.slot_of.keys().map(|&i| NodeId::new(i))
+        self.slot_of
+            .iter()
+            .enumerate()
+            .filter(|(_, at)| at.is_some())
+            .map(|(i, _)| NodeId::new(i))
     }
 
     /// Number of hosted logical nodes.
     pub fn num_endpoints(&self) -> usize {
-        self.slot_of.len()
+        self.shards.iter().map(|s| s.slots.len()).sum()
     }
 
     /// The daemon's round counter (one per [`poll_round`](Self::poll_round)).
@@ -319,11 +321,13 @@ impl<C: BatchTransport> NifdyNode<C> {
     pub fn poll_round(&mut self) {
         let now = self.now;
 
-        // Phase 1: frames routed daemon-internally last round.
-        let local = std::mem::take(&mut self.pending_local);
-        for (dst, lane, frame) in local {
+        // Phase 1: frames routed daemon-internally last round. The buffer
+        // goes back afterwards so its allocation serves the next round.
+        let mut local = std::mem::take(&mut self.pending_local);
+        for (dst, lane, frame) in local.drain(..) {
             self.deliver_frame(dst, lane, frame);
         }
+        self.pending_local = local;
 
         // Phase 2: bounded batch drain of every carrier lane.
         for c in 0..self.carriers.len() {
@@ -391,8 +395,8 @@ impl<C: BatchTransport> NifdyNode<C> {
 
     /// Demultiplexes one frame to its hosted endpoint.
     fn deliver_frame(&mut self, dst: NodeId, lane: Lane, frame: Vec<u8>) {
-        match self.slot_of.get(&dst.index()) {
-            Some(&(s, i)) => match self.shards[s].slots[i].sup.endpoint_mut() {
+        match self.hosted(dst) {
+            Some((s, i)) => match self.shards[s].slots[i].sup.endpoint_mut() {
                 Some(sup_ep) => {
                     sup_ep
                         .endpoint_mut()
@@ -410,10 +414,10 @@ impl<C: BatchTransport> NifdyNode<C> {
     /// Routes one endpoint-emitted frame: hosted destinations loop back
     /// daemon-internally, routed ones join their carrier's outbox.
     fn route_outbound(&mut self, from_shard: usize, dst: NodeId, lane: Lane, frame: Vec<u8>) {
-        if self.slot_of.contains_key(&dst.index()) {
+        if self.hosted(dst).is_some() {
             self.pending_local.push((dst, lane, frame));
             self.stats.local_frames += 1;
-        } else if let Some(&(c, via)) = self.routes.get(&dst.index()) {
+        } else if let Some(&Some((c, via))) = self.routes.get(dst.index()) {
             self.outboxes[c].push((via, lane, frame));
             self.stats.frames_out += 1;
             self.stats.shards[from_shard].frames_out += 1;
@@ -422,21 +426,33 @@ impl<C: BatchTransport> NifdyNode<C> {
         }
     }
 
+    /// `(shard, slot-in-shard)` of `node`, if hosted. Ids come from frame
+    /// headers, so an id past the table is simply not hosted.
+    fn hosted(&self, node: NodeId) -> Option<(usize, usize)> {
+        self.slot_of.get(node.index()).copied().flatten()
+    }
+
     fn slot(&self, node: NodeId) -> &Slot {
-        let &(s, i) = self
-            .slot_of
-            .get(&node.index())
+        let (s, i) = self
+            .hosted(node)
             .unwrap_or_else(|| panic!("node {node} not hosted"));
         &self.shards[s].slots[i]
     }
 
     fn slot_mut(&mut self, node: NodeId) -> &mut Slot {
-        let &(s, i) = self
-            .slot_of
-            .get(&node.index())
+        let (s, i) = self
+            .hosted(node)
             .unwrap_or_else(|| panic!("node {node} not hosted"));
         &mut self.shards[s].slots[i]
     }
+}
+
+/// Sets `table[id] = value`, growing the id-indexed table as needed.
+fn set_dense<T: Copy>(table: &mut Vec<Option<T>>, id: NodeId, value: T) {
+    if table.len() <= id.index() {
+        table.resize(id.index() + 1, None);
+    }
+    table[id.index()] = Some(value);
 }
 
 #[cfg(test)]

@@ -4,13 +4,17 @@
 
 use std::collections::BTreeSet;
 
-use nifdy::NifdyConfig;
+use nifdy::{NifdyConfig, OutboundPacket};
+use nifdy_net::{Lane, Packet};
 use nifdy_node::workload::{run_local, run_sim_reference, PlanFeeder, SwarmPlan};
 use nifdy_node::{NifdyNode, NodeConfig};
-use nifdy_sim::NodeId;
+use nifdy_sim::{NodeId, PacketId};
 use nifdy_traffic::Em3dParams;
 use nifdy_wire::conformance::DeliveryLog;
-use nifdy_wire::{LoopbackHub, LoopbackTransport, PeerEvent, SupervisorConfig};
+use nifdy_wire::{
+    encode, peek_route, LoopbackHub, LoopbackTransport, PeerEvent, SupervisorConfig, Transport,
+    WirePacket,
+};
 
 #[test]
 fn daemon_rotation_matches_the_flit_level_sim() {
@@ -193,4 +197,67 @@ fn killed_endpoint_restarts_and_the_workload_completes() {
     );
     assert!(node.stats().dropped_down > 0, "crash window dropped frames");
     assert!(node.take_failures().is_empty(), "budget covered the outage");
+}
+
+#[test]
+fn a_frame_for_an_id_past_the_demux_tables_is_unroutable() {
+    // The destination comes from an untrusted frame header: the largest
+    // 16-bit id is past both the hosted and the routed table.
+    let hub = LoopbackHub::new(2, 1);
+    let mut node: NifdyNode<LoopbackTransport> = NifdyNode::new(NodeConfig::default());
+    let c = node.add_carrier(hub.endpoint(NodeId::new(0)));
+    node.add_endpoint(NodeId::new(0), Vec::new());
+    node.set_route(NodeId::new(5), c, NodeId::new(1));
+    let far = NodeId::new(65_535);
+    let frame = encode(&WirePacket::from_packet(&Packet::data(
+        PacketId::new(1),
+        NodeId::new(9),
+        far,
+        6,
+    )));
+    assert_eq!(peek_route(&frame), Some((far, Lane::Request)));
+    hub.endpoint(NodeId::new(1))
+        .send(NodeId::new(0), Lane::Request, frame);
+    for _ in 0..4 {
+        hub.tick();
+        node.poll_round();
+    }
+    assert_eq!(node.stats().unroutable, 1);
+    assert_eq!(node.stats().frames_in, 0);
+    assert_eq!(node.stats().foreign, 0);
+}
+
+#[test]
+fn sparse_hosted_ids_keep_the_daemon_api_working() {
+    let hub = LoopbackHub::new(2, 1);
+    let mut node: NifdyNode<LoopbackTransport> = NifdyNode::new(NodeConfig::default());
+    let c = node.add_carrier(hub.endpoint(NodeId::new(0)));
+    let (low, high, routed) = (NodeId::new(3), NodeId::new(60_000), NodeId::new(60_001));
+    node.add_endpoint(high, Vec::new());
+    node.add_endpoint(low, Vec::new());
+    node.set_route(routed, c, NodeId::new(1));
+    assert_eq!(node.endpoints().collect::<Vec<_>>(), vec![low, high]);
+    assert_eq!(node.num_endpoints(), 2);
+
+    // Hosted to hosted stays inside the daemon; hosted to routed leaves
+    // through the carrier, still naming its logical destination.
+    assert!(node.try_send(low, OutboundPacket::new(high, 6)));
+    assert!(node.try_send(high, OutboundPacket::new(routed, 6)));
+    let mut far = hub.endpoint(NodeId::new(1));
+    let mut delivered = None;
+    let mut carried = None;
+    for _ in 0..64 {
+        node.poll_round();
+        hub.tick();
+        if let Some(got) = node.next_delivery() {
+            delivered = Some(got);
+        }
+        if let Some(frame) = far.recv(Lane::Request) {
+            carried = peek_route(&frame);
+        }
+    }
+    let (dst, d) = delivered.expect("hosted delivery");
+    assert_eq!((dst, d.src), (high, low));
+    assert_eq!(carried, Some((routed, Lane::Request)));
+    assert_eq!(node.stats().unroutable, 0);
 }

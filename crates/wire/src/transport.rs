@@ -8,7 +8,8 @@
 //! can be configured with seeded delivery jitter precisely to exercise the
 //! reorder machinery while staying bit-for-bit reproducible.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
 use nifdy_net::Lane;
@@ -78,9 +79,12 @@ pub trait BatchTransport: Transport {
     }
 }
 
-/// In-flight frames for one destination: ordered by (delivery cycle, global
-/// send sequence), so iteration order is deterministic even under jitter.
-type DeliveryQueue = BTreeMap<(u64, u64), Vec<u8>>;
+/// In-flight frames for one destination as a min-heap on `(deliver_at,
+/// seq)`: delivery cycle, then global send sequence, so delivery order is
+/// deterministic even under jitter. `seq` is unique, so the frame bytes
+/// never take part in the order. Popping keeps the heap's allocation for
+/// the next round.
+type DeliveryQueue = BinaryHeap<Reverse<(u64, u64, Vec<u8>)>>;
 
 #[derive(Debug)]
 struct HubInner {
@@ -90,6 +94,42 @@ struct HubInner {
     seq: u64,
     /// `queues[node][lane]`.
     queues: Vec<[DeliveryQueue; 2]>,
+}
+
+impl HubInner {
+    /// Stamps `frame` with its delivery cycle and send sequence and queues
+    /// it for `dst`.
+    fn enqueue(&mut self, dst: NodeId, lane: Lane, frame: Vec<u8>) {
+        let mut deliver_at = self.now.as_u64() + self.latency;
+        if let Some((rng, max_extra)) = &mut self.jitter {
+            deliver_at += rng.next_u64() % (*max_extra + 1);
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        let Some(queue) = self.queue_mut(dst, lane) else {
+            // Like a datagram to an unbound port: nobody can receive it.
+            debug_assert!(false, "frame for node {dst} outside the hub's range");
+            return;
+        };
+        queue.push(Reverse((deliver_at, seq, frame)));
+    }
+
+    /// The earliest frame queued for `node` on `lane`, if it is due.
+    fn dequeue(&mut self, node: NodeId, lane: Lane) -> Option<Vec<u8>> {
+        let now = self.now.as_u64();
+        let queue = self.queue_mut(node, lane)?;
+        let Reverse((deliver_at, _, _)) = queue.peek()?;
+        if *deliver_at > now {
+            return None;
+        }
+        queue.pop().map(|Reverse((_, _, frame))| frame)
+    }
+
+    fn queue_mut(&mut self, node: NodeId, lane: Lane) -> Option<&mut DeliveryQueue> {
+        self.queues
+            .get_mut(node.index())
+            .and_then(|lanes| lanes.get_mut(lane.index()))
+    }
 }
 
 /// A deterministic in-process frame exchange shared by N [`LoopbackTransport`]
@@ -133,7 +173,7 @@ impl LoopbackHub {
                 jitter: None,
                 seq: 0,
                 queues: (0..nodes)
-                    .map(|_| [BTreeMap::new(), BTreeMap::new()])
+                    .map(|_| [BinaryHeap::new(), BinaryHeap::new()])
                     .collect(),
             })),
         }
@@ -172,7 +212,7 @@ impl LoopbackHub {
             .queues
             .iter()
             .flat_map(|lanes| lanes.iter())
-            .filter_map(|q| q.first_key_value().map(|(&(at, _), _)| at))
+            .filter_map(|q| q.peek().map(|Reverse((at, _, _))| *at))
             .min()
     }
 
@@ -234,25 +274,11 @@ impl Transport for LoopbackTransport {
     }
 
     fn send(&mut self, dst: NodeId, lane: Lane, frame: Vec<u8>) {
-        let mut inner = self.lock();
-        let mut deliver_at = inner.now.as_u64() + inner.latency;
-        if let Some((rng, max_extra)) = &mut inner.jitter {
-            deliver_at += rng.next_u64() % (*max_extra + 1);
-        }
-        let seq = inner.seq;
-        inner.seq += 1;
-        inner.queues[dst.index()][lane.index()].insert((deliver_at, seq), frame);
+        self.lock().enqueue(dst, lane, frame);
     }
 
     fn recv(&mut self, lane: Lane) -> Option<Vec<u8>> {
-        let mut inner = self.lock();
-        let now = inner.now.as_u64();
-        let queue = &mut inner.queues[self.node.index()][lane.index()];
-        let (&key, _) = queue.first_key_value()?;
-        if key.0 > now {
-            return None;
-        }
-        queue.remove(&key)
+        self.lock().dequeue(self.node, lane)
     }
 }
 
@@ -261,18 +287,14 @@ impl BatchTransport for LoopbackTransport {
     /// of one per frame.
     fn recv_batch(&mut self, lane: Lane, max: usize, out: &mut Vec<Vec<u8>>) -> usize {
         let mut inner = self.lock();
-        let now = inner.now.as_u64();
-        let queue = &mut inner.queues[self.node.index()][lane.index()];
         let mut n = 0;
         while n < max {
-            match queue.first_key_value() {
-                Some((&key, _)) if key.0 <= now => {
-                    if let Some(frame) = queue.remove(&key) {
-                        out.push(frame);
-                        n += 1;
-                    }
+            match inner.dequeue(self.node, lane) {
+                Some(frame) => {
+                    out.push(frame);
+                    n += 1;
                 }
-                _ => break,
+                None => break,
             }
         }
         n
@@ -282,13 +304,7 @@ impl BatchTransport for LoopbackTransport {
     fn send_batch(&mut self, frames: &mut Vec<(NodeId, Lane, Vec<u8>)>) {
         let mut inner = self.lock();
         for (dst, lane, frame) in frames.drain(..) {
-            let mut deliver_at = inner.now.as_u64() + inner.latency;
-            if let Some((rng, max_extra)) = &mut inner.jitter {
-                deliver_at += rng.next_u64() % (*max_extra + 1);
-            }
-            let seq = inner.seq;
-            inner.seq += 1;
-            inner.queues[dst.index()][lane.index()].insert((deliver_at, seq), frame);
+            inner.enqueue(dst, lane, frame);
         }
     }
 }
@@ -356,6 +372,54 @@ mod tests {
         }
         assert!(b.recv(Lane::Request).is_some());
         assert_eq!(hub.next_delivery(), Some(6), "remaining frame's deadline");
+    }
+
+    #[test]
+    fn jittered_frames_leave_in_deadline_then_send_order() {
+        let hub = LoopbackHub::new(2, 2).with_jitter(11, 3);
+        let mut a = hub.endpoint(NodeId::new(0));
+        let mut b = hub.endpoint(NodeId::new(1));
+        // The deadline the hub stamped on the frame just sent.
+        let last_deadline = || {
+            let inner = hub.lock();
+            inner.queues[1][0]
+                .iter()
+                .find(|Reverse((_, seq, _))| seq + 1 == inner.seq)
+                .map(|Reverse((at, _, _))| *at)
+                .expect("frame just sent")
+        };
+        let mut sent: Vec<(u64, u16)> = Vec::new();
+        let mut got: Vec<u16> = Vec::new();
+        for i in 0..240u16 {
+            if i % 8 == 0 {
+                hub.tick();
+                while let Some(f) = b.recv(Lane::Request) {
+                    got.push(u16::from_le_bytes([f[0], f[1]]));
+                }
+            }
+            if i % 3 == 0 {
+                a.send_batch(&mut vec![(
+                    NodeId::new(1),
+                    Lane::Request,
+                    i.to_le_bytes().to_vec(),
+                )]);
+            } else {
+                a.send(NodeId::new(1), Lane::Request, i.to_le_bytes().to_vec());
+            }
+            sent.push((last_deadline(), i));
+        }
+        for _ in 0..8 {
+            hub.tick();
+            let mut out = Vec::new();
+            b.recv_batch(Lane::Request, usize::MAX, &mut out);
+            got.extend(out.iter().map(|f| u16::from_le_bytes([f[0], f[1]])));
+        }
+        let ties = sent.windows(2).filter(|w| w[0].0 == w[1].0).count();
+        assert!(ties > 0, "equal deadlines must occur for the FIFO check");
+        assert_ne!(got, (0..240).collect::<Vec<u16>>(), "jitter reorders");
+        sent.sort();
+        let want: Vec<u16> = sent.into_iter().map(|(_, i)| i).collect();
+        assert_eq!(got, want, "delivery order is (deadline, send order)");
     }
 
     #[test]
