@@ -5,6 +5,8 @@
 //! regressions are diffable across commits, alongside `BENCH_wire.json`
 //! and `BENCH_fabric.json`.
 
+#![expect(clippy::disallowed_types, reason = "benches measure real elapsed time")]
+
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, BatchSize, Criterion};

@@ -7,6 +7,8 @@
 //! the `BENCH_WIRE_JSON` env var) so throughput regressions are diffable
 //! across commits.
 
+#![expect(clippy::disallowed_types, reason = "benches measure real elapsed time")]
+
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, Criterion};

@@ -57,6 +57,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 pub mod analysis;
 mod baseline;

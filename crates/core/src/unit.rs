@@ -223,15 +223,6 @@ pub struct NifdyUnit {
     /// True while an eligibility stall episode is in progress (the stall
     /// trace event is edge-triggered on entry to this state).
     elig_stalled: bool,
-    /// Cached [`Nic::next_event`] answer, recomputed at the end of every
-    /// full [`Nic::step`].
-    next_wake: Wakeup,
-    /// Set whenever unit state changes outside `step` (a send, a poll, a
-    /// peer reset) — the cached `next_wake` may then be too late.
-    wake_stale: bool,
-    /// Disables the cached-wakeup early-out in `step` (differential
-    /// testing only; production paths always keep the cache on).
-    wake_cache_enabled: bool,
     stats: NicStats,
 }
 
@@ -268,9 +259,6 @@ impl NifdyUnit {
             peers: Vec::new(),
             trace: TraceHandle::off(),
             elig_stalled: false,
-            next_wake: Wakeup::Now,
-            wake_stale: true,
-            wake_cache_enabled: true,
             stats: NicStats::default(),
             cfg,
         }
@@ -1328,7 +1316,6 @@ impl NifdyUnit {
         }
         self.ack_queue.retain(|a| a.dst != peer);
         self.ack_delay.retain(|(_, dst, _)| *dst != peer);
-        self.wake_stale = true;
     }
 
     /// Derives the unit's [`Wakeup`] from its real protocol deadlines.
@@ -1412,7 +1399,6 @@ impl Nic for NifdyUnit {
             return false;
         }
         self.pool.push_back(pkt);
-        self.wake_stale = true;
         true
     }
 
@@ -1423,9 +1409,6 @@ impl Nic for NifdyUnit {
     fn poll(&mut self, now: Cycle) -> Option<Delivered> {
         self.now = now;
         let pkt = self.arrivals.pop_front()?;
-        // Freed arrivals space (and a possibly queued ack below) can move
-        // the next wakeup earlier.
-        self.wake_stale = true;
         let is_scalar = matches!(pkt.wire, Wire::Data { bulk: None, .. });
         if is_scalar && !self.cfg.ack_on_insert {
             self.ack_scalar(&pkt);
@@ -1440,21 +1423,6 @@ impl Nic for NifdyUnit {
 
     fn step(&mut self, fab: &mut dyn NetPort) {
         self.now = fab.now();
-
-        // 0. Sparse stepping: when the cached wakeup says this cycle is a
-        //    no-op and the fabric has nothing to eject for this node, skip
-        //    the whole body. The cache is recomputed at the end of every
-        //    full step and marked stale by every out-of-step mutation
-        //    (`try_send`, `poll`, `reset_peer`), so the early-out is
-        //    behaviour-preserving — verified differentially in the tests.
-        if self.wake_cache_enabled
-            && !self.wake_stale
-            && !self.next_wake.is_due(self.now)
-            && fab.peek_eject(self.node, Lane::Reply).is_none()
-            && fab.peek_eject(self.node, Lane::Request).is_none()
-        {
-            return;
-        }
 
         // 1. Consume acknowledgments (reply lane) through the processing
         //    delay line.
@@ -1603,10 +1571,6 @@ impl Nic for NifdyUnit {
                 self.elig_stalled = false;
             }
         }
-
-        // 7. Refresh the wakeup cache from the post-step protocol state.
-        self.next_wake = self.compute_wakeup(self.now);
-        self.wake_stale = false;
     }
 
     fn is_idle(&self) -> bool {
@@ -1621,11 +1585,7 @@ impl Nic for NifdyUnit {
     }
 
     fn next_event(&self, now: Cycle) -> Wakeup {
-        if self.wake_stale {
-            self.compute_wakeup(now)
-        } else {
-            self.next_wake
-        }
+        self.compute_wakeup(now)
     }
 
     fn stats(&self) -> &NicStats {
@@ -1687,10 +1647,10 @@ mod tests {
         let g1 = u.decide_grant(true, peer);
         let g2 = u.decide_grant(true, peer);
         assert_eq!(g1, g2, "duplicate requests must re-grant the same slot");
-        match g1 {
-            BulkGrant::Granted { window, .. } => assert_eq!(window, 4),
-            other => panic!("expected grant, got {other:?}"),
-        }
+        let BulkGrant::Granted { window, .. } = g1 else {
+            panic!("expected grant, got {g1:?}");
+        };
+        assert_eq!(window, 4);
         assert_eq!(u.stats.dialogs_granted.get(), 1, "only one real grant");
     }
 
@@ -1932,10 +1892,11 @@ mod tests {
     }
 
     fn granted_slot(u: &mut NifdyUnit, peer: NodeId) -> u8 {
-        match u.decide_grant(true, peer) {
-            BulkGrant::Granted { dialog, .. } => dialog,
-            other => panic!("grant expected, got {other:?}"),
-        }
+        let grant = u.decide_grant(true, peer);
+        let BulkGrant::Granted { dialog, .. } = grant else {
+            panic!("grant expected, got {grant:?}");
+        };
+        dialog
     }
 
     /// Hands `pkt` to the receive side and streams what is in order.
@@ -2383,7 +2344,6 @@ mod tests {
                 echo: false,
             },
         );
-        u.wake_stale = true;
         let ready = Cycle::new(100 + u64::from(u.cfg.ack_proc_cycles));
         assert_eq!(u.next_event(Cycle::new(100)), Wakeup::At(ready));
     }
@@ -2412,53 +2372,5 @@ mod tests {
         }
         assert!(u.elig_stalled, "stall episode latches once the lane frees");
         assert_eq!(u.next_event(fab.now()), Wakeup::Quiescent);
-    }
-
-    #[test]
-    fn wakeup_cache_early_out_is_behaviour_preserving() {
-        // Two identical 4-node replicas under a scripted random workload,
-        // one with the sparse-stepping cache disabled. Every delivery (and
-        // its cycle) plus the final counters must match exactly.
-        let run = |cache: bool| {
-            let cfg = NifdyConfig::mesh()
-                .with_retx_timeout(400)
-                .with_adaptive_rto(true)
-                .with_retx_budget(6);
-            let mut fab = fabric();
-            let mut units: Vec<NifdyUnit> = (0..4usize)
-                .map(|n| {
-                    let mut u = NifdyUnit::new(NodeId::new(n), cfg.clone());
-                    u.wake_cache_enabled = cache;
-                    u
-                })
-                .collect();
-            let mut rng = SimRng::from_seed_stream(7, 0);
-            let mut deliveries: Vec<(u64, usize, usize)> = Vec::new();
-            for t in 0..8_000u64 {
-                if t % 61 == 0 {
-                    let src = rng.gen_range_u64(0..4) as usize;
-                    let dst = (src + 1 + rng.gen_range_u64(0..3) as usize) % 4;
-                    let _ = units[src].try_send(
-                        OutboundPacket::new(NodeId::new(dst), 8).with_bulk(t % 183 == 0),
-                        fab.now(),
-                    );
-                }
-                for u in units.iter_mut() {
-                    u.step(&mut fab);
-                }
-                fab.step();
-                for (n, u) in units.iter_mut().enumerate() {
-                    if let Some(d) = u.poll(fab.now()) {
-                        deliveries.push((fab.now().as_u64(), n, d.src.index()));
-                    }
-                }
-            }
-            let fps: Vec<u64> = units
-                .iter()
-                .map(|u| u.stats().progress_fingerprint())
-                .collect();
-            (deliveries, fps)
-        };
-        assert_eq!(run(true), run(false));
     }
 }

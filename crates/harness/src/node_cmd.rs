@@ -31,6 +31,11 @@
 //! All node-specific flags use `--key=value` form so the binary's global
 //! argument parser can forward them opaquely.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "real child processes and UDP sockets need wall-clock deadlines; elapsed time is reported, never fed into simulated time"
+)]
+
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -44,7 +49,7 @@ use nifdy_sim::NodeId;
 use nifdy_trace::json::{self, Json};
 use nifdy_traffic::Em3dParams;
 use nifdy_wire::conformance::DeliveryLog;
-use nifdy_wire::{PeerEvent, SupervisorConfig, UdpTransport};
+use nifdy_wire::{Epoch, PeerEvent, SupervisorConfig, UdpTransport};
 
 use crate::wire_cmd::SIZE_WORDS;
 use crate::{Scale, Table};
@@ -407,7 +412,7 @@ fn swarm_child(scale: Scale, seed: u64, opts: &NodeOpts) -> Result<(), String> {
         .with_batch(opts.batch)
         .with_protocol(swarm_protocol(opts.kill))
         .with_supervisor(swarm_supervisor())
-        .with_initial_epoch(opts.epoch)
+        .with_initial_epoch(Epoch::new(opts.epoch))
         .with_seed(seed.wrapping_add(me as u64));
     let mut node: NifdyNode<UdpTransport> = NifdyNode::new(cfg);
     let c0 = node.add_carrier(carrier);

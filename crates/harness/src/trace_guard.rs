@@ -15,6 +15,11 @@
 //! across repetitions — the standard low-noise estimator for "how fast
 //! can this code go".
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the guard measures the recorder's real wall-clock overhead; no timing feeds simulated state"
+)]
+
 use std::time::Instant;
 
 use nifdy_trace::{TraceConfig, TraceHandle};

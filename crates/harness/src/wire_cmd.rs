@@ -432,6 +432,10 @@ pub struct UdpReport {
 /// Streams a bulk message between two localhost UDP sockets driven from one
 /// thread (step the sender, step the receiver, repeat) and asserts in-order
 /// exactly-once delivery.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a wall-clock deadline bounds the wait on real sockets"
+)]
 pub fn run_udp(scale: Scale, seed: u64) -> std::io::Result<UdpReport> {
     let packets = scale.count(500) as u32;
     let n0 = NodeId::new(0);

@@ -57,7 +57,7 @@ proptest! {
             "fig9", "fig9.coalesce", "sweep:mesh-2d", "sweep:fat-tree",
             "ext:adaptive", "ext:loadsweep", "ext:lossy",
         ];
-        let mut seen = std::collections::HashMap::new();
+        let mut seen = std::collections::BTreeMap::new();
         for exp in experiments {
             for index in 0..64u64 {
                 let s = cell_seed(exp, index, base);

@@ -7,7 +7,7 @@
 
 #![cfg(feature = "trace")]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use nifdy_harness::{ext_lossy, percentile_table, Scale};
 use nifdy_trace::export::{to_chrome_trace, to_jsonl};
@@ -61,7 +61,7 @@ fn traced_lossy_cell_exports_a_valid_chrome_trace() {
 
     // Bulk-dialog async spans: every begin has a matching end with the same
     // id, and the cell (bulk mode) produced at least one dialog.
-    let mut span_balance: HashMap<String, i64> = HashMap::new();
+    let mut span_balance: BTreeMap<String, i64> = BTreeMap::new();
     let mut begins = 0u64;
     for e in trace_events {
         let p = ph(e);

@@ -7,11 +7,11 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "R2"
-//! path = "crates/wire/src/udp.rs"
-//! pattern = "Instant"
-//! justification = "Socket read deadlines are real time by definition; \
-//!                  the simulator clock never reaches the UDP transport."
+//! rule = "R1"
+//! path = "crates/wire/src/port.rs"
+//! pattern = "pending[lane.index()]"
+//! justification = "Lane::index() is 0 or 1 and the pending array is \
+//!                  [_; 2], so the access is total."
 //! ```
 //!
 //! The parser is a deliberate TOML subset (comments, `[[allow]]` headers,
@@ -25,7 +25,7 @@ use std::path::Path;
 /// One suppression entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Rule id the entry applies to (`R1`..`R9`).
+    /// Rule id the entry applies to (`R1`, `R4`, `R5`, `R6` or `R9`).
     pub rule: String,
     /// Exact root-relative path of the file.
     pub path: String,
@@ -54,7 +54,7 @@ impl fmt::Display for AllowError {
 }
 
 const REQUIRED_KEYS: [&str; 4] = ["rule", "path", "pattern", "justification"];
-const VALID_RULES: [&str; 9] = ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"];
+const VALID_RULES: [&str; 5] = ["R1", "R4", "R5", "R6", "R9"];
 const MIN_JUSTIFICATION: usize = 20;
 
 /// Parses and schema-checks an allowlist file. On any error the entry
@@ -262,13 +262,23 @@ mod tests {
     #[test]
     fn parses_a_well_formed_entry() {
         let entries = parse(
-            "# comment\n[[allow]]\nrule = \"R2\"\npath = \"crates/wire/src/udp.rs\"\n\
-             pattern = \"Instant\"\njustification = \"Socket deadlines are wall time by definition.\"\n",
+            "# comment\n[[allow]]\nrule = \"R5\"\npath = \"crates/wire/src/codec.rs\"\n\
+             pattern = \"Vec::with_capacity\"\njustification = \"Encode returns an owned frame by contract.\"\n",
         )
         .unwrap();
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].rule, "R2");
-        assert_eq!(entries[0].pattern, "Instant");
+        assert_eq!(entries[0].rule, "R5");
+        assert_eq!(entries[0].pattern, "Vec::with_capacity");
+    }
+
+    #[test]
+    fn retired_rule_is_a_schema_error() {
+        let errs = parse(
+            "[[allow]]\nrule = \"R2\"\npath = \"a.rs\"\npattern = \"Instant\"\n\
+             justification = \"clippy.toml enforces this one now\"\n",
+        )
+        .unwrap_err();
+        assert!(errs.iter().any(|e| e.message.contains("unknown rule `R2`")));
     }
 
     #[test]

@@ -5,17 +5,13 @@
 //! that can silently lose coverage as code drifts. This crate is the
 //! static backstop: a dependency-light item-level analyzer (no rustc, no
 //! syn) that models every `crates/*/src/**.rs` as symbol tables plus a
-//! conservative call graph ([`graph`]) and fails CI on nine invariant
-//! classes (see [`rules`]):
+//! conservative call graph ([`graph`]) and fails CI on the invariant
+//! classes the compiler and clippy cannot see (see [`rules`]):
 //!
 //! * **R1 panic-freedom** — no `unwrap`/`expect`/`panic!`/`unreachable!`
 //!   (and, on byte-facing decode paths, no index expressions) anywhere in
 //!   the transitive hot-path closure computed from the protocol entry
 //!   points,
-//! * **R2 determinism hygiene** — no wall clock, no ambient RNG, no
-//!   hash-ordered containers in the deterministic crates,
-//! * **R3 trace parity** — every `EventKind` variant is exported by both
-//!   the JSONL and Perfetto exporters and exercised by trace fixtures,
 //! * **R4 config coverage** — every config field is validated or
 //!   builder-settable,
 //! * **R5 zero-alloc steady state** — no fresh heap allocation in the
@@ -23,13 +19,23 @@
 //!   `Fabric::step` and friends),
 //! * **R6 bounded capacity** — pushes into fixed-capacity structures are
 //!   dominated by a capacity guard in the same fn,
-//! * **R7 seq/epoch hygiene** — wire sequence/epoch fields use
-//!   `wrapping_*`/`%` arithmetic, never bare `+`/`-`,
-//! * **R8 no wildcard matches** — protocol-enum `match`es stay exhaustive
-//!   so new variants fail loudly,
 //! * **R9 lock discipline** — no `Mutex` guard held across
 //!   `step`/`advance`/`poll_round`; trace locks acquire before registry
 //!   locks.
+//!
+//! Four former rules are enforced by the toolchain instead, and their
+//! numbers stay retired:
+//!
+//! * R2 determinism hygiene → the root `clippy.toml` bans `Instant`,
+//!   `SystemTime`, `HashMap` and `HashSet` (`clippy::disallowed_types`);
+//! * R3 trace parity → `EventKind::name`, both exporters and the exporter
+//!   coverage fixture match every variant with no wildcard, so a new
+//!   variant does not compile until each handles it;
+//! * R7 epoch hygiene → `nifdy_wire::Epoch`, whose only operations are a
+//!   wrapping `next` and a serial-number `is_after`;
+//! * R8 no wildcard matches → `clippy::wildcard_enum_match_arm` and
+//!   `clippy::match_wildcard_for_single_variants`, denied in the six
+//!   protocol crates.
 //!
 //! R1/R5 scope is *computed*, not enumerated: the engine seeds a closure
 //! from entry points and walks every conservatively-reachable function,
@@ -59,10 +65,7 @@ use std::path::{Path, PathBuf};
 
 use allow::AllowEntry;
 use graph::{crate_of, Demands, EntryPoint, Graph};
-use rules::{
-    ConfigCoverageScope, DeterminismScope, Diagnostic, SeqHygieneScope, TraceParityScope,
-    WildcardScope,
-};
+use rules::{ConfigCoverageScope, Diagnostic};
 use source::SourceFile;
 
 /// What to analyze. [`LintConfig::workspace`] builds the real repo
@@ -79,16 +82,8 @@ pub struct LintConfig {
     pub graph_exclude: Vec<String>,
     /// Hot-path closure seeds (R1/R5/R6 scope).
     pub entry_points: Vec<EntryPoint>,
-    /// R2 scope (`None` disables the rule).
-    pub determinism: Option<DeterminismScope>,
-    /// R3 scope (`None` disables the rule).
-    pub trace_parity: Option<TraceParityScope>,
     /// R4 scopes.
     pub config_coverage: Vec<ConfigCoverageScope>,
-    /// R7 scope (`None` disables the rule).
-    pub seq_hygiene: Option<SeqHygieneScope>,
-    /// R8 scope (`None` disables the rule).
-    pub wildcard: Option<WildcardScope>,
     /// Crate names R9 lock discipline applies in.
     pub lock_crates: Vec<String>,
     /// `lint-allow.toml` location (`None` = no suppressions).
@@ -152,9 +147,6 @@ impl LintConfig {
             src_dirs.push(format!("crates/{name}/src"));
         }
         let allowlist = Some(root.join("lint-allow.toml"));
-        let protocol_crates: Vec<String> = ["core", "net", "wire", "node", "sim", "trace"]
-            .map(String::from)
-            .to_vec();
         Ok(LintConfig {
             root,
             src_dirs,
@@ -185,30 +177,6 @@ impl LintConfig {
                 entry(Some("Supervisor"), "step", PANIC),
                 entry(Some("NifdyNode"), "poll_round", PANIC),
             ],
-            determinism: Some(DeterminismScope {
-                hash_dir_prefixes: vec![
-                    "crates/sim/".into(),
-                    "crates/core/".into(),
-                    "crates/net/".into(),
-                    "crates/traffic/".into(),
-                    "crates/trace/".into(),
-                    "crates/analyze/".into(),
-                ],
-            }),
-            trace_parity: Some(TraceParityScope {
-                event_file: "crates/trace/src/event.rs".into(),
-                enum_name: "EventKind".into(),
-                name_fn: "name".into(),
-                count_const: "VARIANT_COUNT".into(),
-                exporter_file: "crates/trace/src/export.rs".into(),
-                jsonl_fn: "kind_args".into(),
-                chrome_fn: "to_chrome_trace".into(),
-                fixture_files: vec![
-                    "crates/trace/tests/exporter_coverage.rs".into(),
-                    "crates/net/tests/trace_parity.rs".into(),
-                    "crates/harness/tests/trace_export.rs".into(),
-                ],
-            }),
             config_coverage: vec![
                 ConfigCoverageScope {
                     path: "crates/core/src/config.rs".into(),
@@ -231,25 +199,9 @@ impl LintConfig {
                     validate_fn: "validate".into(),
                 },
             ],
-            seq_hygiene: Some(SeqHygieneScope {
-                crates: protocol_crates.clone(),
-            }),
-            wildcard: Some(WildcardScope {
-                crates: protocol_crates.clone(),
-                enums: vec![
-                    "WireFrame".into(),
-                    "Wire".into(),
-                    "EventKind".into(),
-                    "WireError".into(),
-                    "DeliveryFailure".into(),
-                    "Wakeup".into(),
-                ],
-            }),
-            lock_crates: {
-                let mut crates = protocol_crates;
-                crates.push("traffic".into());
-                crates
-            },
+            lock_crates: ["core", "net", "wire", "node", "sim", "trace", "traffic"]
+                .map(String::from)
+                .to_vec(),
             allowlist,
         })
     }
@@ -321,37 +273,6 @@ pub fn run(config: &LintConfig) -> LintReport {
     rules::closure_rules(&files, &graph, &mut raw);
     rules::r6_bounded_capacity(&files, &graph, &mut raw);
 
-    // R2 over every scanned file.
-    if let Some(scope) = &config.determinism {
-        for file in &files {
-            rules::r2_determinism(file, scope, &mut raw);
-        }
-    }
-
-    // R3 loads its fixture files on top of the scan set.
-    if let Some(scope) = &config.trace_parity {
-        let event = files.iter().find(|f| f.rel == scope.event_file);
-        let exporter = files.iter().find(|f| f.rel == scope.exporter_file);
-        match (event, exporter) {
-            (Some(event), Some(exporter)) => {
-                let mut fixtures = Vec::new();
-                for rel in &scope.fixture_files {
-                    match SourceFile::load(&config.root, rel) {
-                        Ok(f) => fixtures.push(f),
-                        Err(e) => report
-                            .errors
-                            .push(format!("R3 fixture file {rel} unreadable: {e}")),
-                    }
-                }
-                rules::r3_trace_parity(event, exporter, &fixtures, scope, &mut raw);
-            }
-            _ => report.errors.push(format!(
-                "R3 needs {} and {} in the scan set",
-                scope.event_file, scope.exporter_file
-            )),
-        }
-    }
-
     // R4 per configured struct.
     for scope in &config.config_coverage {
         match files.iter().find(|f| f.rel == scope.path) {
@@ -360,26 +281,6 @@ pub fn run(config: &LintConfig) -> LintReport {
                 "R4 config file {} not found in scan set",
                 scope.path
             )),
-        }
-    }
-
-    // R7 over the protocol crates' wire-seq vocabulary.
-    if let Some(scope) = &config.seq_hygiene {
-        let scope_files: Vec<usize> = files
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| crate_of(&f.rel).is_some_and(|c| scope.crates.iter().any(|s| s == c)))
-            .map(|(i, _)| i)
-            .collect();
-        rules::r7_seq_hygiene(&files, &scope_files, &mut raw);
-    }
-
-    // R8 per protocol-crate file.
-    if let Some(scope) = &config.wildcard {
-        for file in &files {
-            if crate_of(&file.rel).is_some_and(|c| scope.crates.iter().any(|s| s == c)) {
-                rules::r8_no_wildcard(file, scope, &mut raw);
-            }
         }
     }
 
@@ -473,7 +374,6 @@ mod tests {
         let cfg = LintConfig::workspace(root).unwrap();
         assert!(cfg.src_dirs.contains(&"crates/core/src".to_string()));
         assert!(cfg.src_dirs.contains(&"crates/lint/src".to_string()));
-        assert!(cfg.trace_parity.is_some());
         assert_eq!(cfg.config_coverage.len(), 4);
     }
 

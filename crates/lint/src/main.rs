@@ -27,9 +27,8 @@ fn main() -> ExitCode {
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 println!(
-                    "nifdy-lint: workspace static analysis (R1 panic-freedom, R2 determinism,\n\
-                     R3 trace parity, R4 config coverage, R5 zero-alloc, R6 bounded capacity,\n\
-                     R7 seq hygiene, R8 no-wildcard matches, R9 lock discipline)\n\n\
+                    "nifdy-lint: workspace static analysis (R1 panic-freedom, R4 config coverage,\n\
+                     R5 zero-alloc, R6 bounded capacity, R9 lock discipline)\n\n\
                      USAGE: nifdy-lint [--root <dir>] [--json <path>] [--closure-json <path>] [--quiet]\n\n\
                      Exit 0 = clean, 1 = violations, 2 = allowlist/I-O errors."
                 );

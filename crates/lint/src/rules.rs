@@ -1,19 +1,18 @@
-//! The nine workspace rules. Each rule consumes the [`SourceFile`] model
-//! (and, for the closure rules, the computed [`Graph`]) and appends
+//! The workspace rules. Each rule consumes the [`SourceFile`] model (and,
+//! for the closure rules, the computed [`Graph`]) and appends
 //! [`Diagnostic`]s; suppression against `lint-allow.toml` happens later in
 //! the engine so every rule stays allowlist-agnostic.
 //!
 //! | Rule | Property |
 //! |------|----------|
 //! | R1   | panic-freedom in the hot-path closure (index-freedom where demanded) |
-//! | R2   | determinism hygiene (no wall clock, no ambient RNG, no hash-ordered containers in deterministic crates) |
-//! | R3   | trace parity (every `EventKind` variant exported and fixture-covered) |
 //! | R4   | config coverage (every config field validated or builder-settable) |
 //! | R5   | zero-alloc steady state in the alloc-demanding closure |
 //! | R6   | bounded capacity (pushes into fixed-capacity structures guarded in the same fn) |
-//! | R7   | sequence/epoch arithmetic hygiene (`wrapping_*`/`%` only on wire-seq fields) |
-//! | R8   | no wildcard `_` arms in protocol-enum matches |
 //! | R9   | lock discipline (no guard held across `step`/`advance`/`poll_round`; trace-before-registry order) |
+//!
+//! The numbers R2, R3, R7 and R8 are retired: the compiler and clippy
+//! enforce those invariants now (see the crate docs).
 //!
 //! R1 and R5 scope themselves from the transitive hot-path closure
 //! ([`crate::graph`]) rather than enumerated file/function lists; a
@@ -26,7 +25,7 @@ use crate::source::{contains_word, SourceFile};
 /// One finding, addressed `path:line`, before allowlist filtering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id: `"R1"`..`"R4"`.
+    /// Rule id: `"R1"`, `"R4"`, `"R5"`, `"R6"` or `"R9"`.
     pub rule: &'static str,
     /// File path relative to the analysis root.
     pub path: String,
@@ -185,243 +184,6 @@ const ALLOC_TOKENS: [&str; 18] = [
     ".collect()",
     ".collect::<",
 ];
-
-/// R2 scope.
-#[derive(Debug, Clone)]
-pub struct DeterminismScope {
-    /// Path prefixes (e.g. `crates/core/`) where hash-ordered containers
-    /// are forbidden; seeded RNG and wall-clock bans apply to every
-    /// scanned file.
-    pub hash_dir_prefixes: Vec<String>,
-}
-
-/// R2 — determinism hygiene.
-pub fn r2_determinism(file: &SourceFile, scope: &DeterminismScope, out: &mut Vec<Diagnostic>) {
-    let hash_banned = scope
-        .hash_dir_prefixes
-        .iter()
-        .any(|p| file.rel.starts_with(p.as_str()));
-    for (idx, line) in file.code.iter().enumerate() {
-        let line_no = idx + 1;
-        if file.is_test_line(line_no) {
-            continue;
-        }
-        for clock in ["Instant", "SystemTime"] {
-            if contains_word(line, clock) {
-                out.push(Diagnostic::at(
-                    "R2",
-                    file,
-                    line_no,
-                    format!(
-                        "wall-clock type `{clock}` in the deterministic stack; use \
-                         `Cycle` time, or add a justified allowlist entry for \
-                         harness timing / transport deadlines"
-                    ),
-                ));
-            }
-        }
-        for rng in ["thread_rng", "rand::random"] {
-            if line.contains(rng) {
-                out.push(Diagnostic::at(
-                    "R2",
-                    file,
-                    line_no,
-                    format!("ambient RNG `{rng}`; use the seeded `nifdy-sim` streams"),
-                ));
-            }
-        }
-        if hash_banned {
-            for map in ["HashMap", "HashSet"] {
-                if contains_word(line, map) {
-                    out.push(Diagnostic::at(
-                        "R2",
-                        file,
-                        line_no,
-                        format!(
-                            "default-hasher `{map}` in a deterministic crate; use \
-                             `BTreeMap`/`BTreeSet` (or sorted iteration) so order \
-                             never depends on the hasher"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// R3 scope: the event vocabulary and its exporters/fixtures.
-#[derive(Debug, Clone)]
-pub struct TraceParityScope {
-    /// File declaring the event enum.
-    pub event_file: String,
-    /// The enum name (e.g. `EventKind`).
-    pub enum_name: String,
-    /// Function mapping variants to stable wire names (e.g. `name`).
-    pub name_fn: String,
-    /// A `const` in the event file that must equal the variant count.
-    pub count_const: String,
-    /// The exporter file (JSONL + Perfetto live together).
-    pub exporter_file: String,
-    /// Per-variant JSONL field function (no catch-all allowed).
-    pub jsonl_fn: String,
-    /// The Perfetto/Chrome exporter function.
-    pub chrome_fn: String,
-    /// Test files that together must mention every wire name.
-    pub fixture_files: Vec<String>,
-}
-
-/// R3 — trace parity across exporters and fixtures.
-pub fn r3_trace_parity(
-    event: &SourceFile,
-    exporter: &SourceFile,
-    fixtures: &[SourceFile],
-    scope: &TraceParityScope,
-    out: &mut Vec<Diagnostic>,
-) {
-    let Some(variants) = event.enum_variants(&scope.enum_name) else {
-        out.push(Diagnostic {
-            rule: "R3",
-            path: event.rel.clone(),
-            line: 0,
-            message: format!("enum `{}` not found", scope.enum_name),
-            snippet: String::new(),
-        });
-        return;
-    };
-    if variants.is_empty() {
-        out.push(Diagnostic {
-            rule: "R3",
-            path: event.rel.clone(),
-            line: 0,
-            message: format!("enum `{}` has no parsed variants", scope.enum_name),
-            snippet: String::new(),
-        });
-        return;
-    }
-
-    // The declared count const keeps humans honest when adding variants.
-    match event.const_value(&scope.count_const) {
-        Some((value, line)) if value as usize != variants.len() => {
-            out.push(Diagnostic::at(
-                "R3",
-                event,
-                line,
-                format!(
-                    "`{}` is {value} but `{}` has {} variants",
-                    scope.count_const,
-                    scope.enum_name,
-                    variants.len()
-                ),
-            ));
-        }
-        None => out.push(Diagnostic {
-            rule: "R3",
-            path: event.rel.clone(),
-            line: 0,
-            message: format!(
-                "`const {}` not found in the event file; declare it equal to the \
-                 variant count",
-                scope.count_const
-            ),
-            snippet: String::new(),
-        }),
-        _ => {}
-    }
-
-    // Wire names: one `Enum::Variant … => "literal"` arm per variant.
-    let mut wire_names: Vec<(String, String, usize)> = Vec::new();
-    for span in event.fns_named(&scope.name_fn) {
-        for line_no in span.start..=span.end.min(event.code.len()) {
-            let code = &event.code[line_no - 1];
-            let marker = format!("{}::", scope.enum_name);
-            let Some(pos) = code.find(&marker) else {
-                continue;
-            };
-            let variant: String = code[pos + marker.len()..]
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if let Some((lit, _)) = event
-                .string_literals_in(line_no, line_no)
-                .into_iter()
-                .next()
-            {
-                wire_names.push((variant, lit, line_no));
-            }
-        }
-    }
-
-    let jsonl_mask = fn_lines(exporter, &scope.jsonl_fn);
-    let chrome_mask = fn_lines(exporter, &scope.chrome_fn);
-    let chrome_has_catch_all = chrome_mask
-        .iter()
-        .any(|&l| exporter.code[l - 1].contains("_ =>"));
-
-    for (variant, line) in &variants {
-        let qualified = format!("{}::{}", scope.enum_name, variant);
-        if !jsonl_mask
-            .iter()
-            .any(|&l| exporter.code[l - 1].contains(&qualified))
-        {
-            out.push(Diagnostic::at(
-                "R3",
-                event,
-                *line,
-                format!(
-                    "variant `{variant}` has no arm in the JSONL exporter \
-                     (`{}::{}`)",
-                    exporter.rel, scope.jsonl_fn
-                ),
-            ));
-        }
-        let chrome_ok = chrome_has_catch_all
-            || chrome_mask
-                .iter()
-                .any(|&l| exporter.code[l - 1].contains(&qualified));
-        if !chrome_ok {
-            out.push(Diagnostic::at(
-                "R3",
-                event,
-                *line,
-                format!(
-                    "variant `{variant}` unhandled by the Perfetto exporter \
-                     (`{}::{}`)",
-                    exporter.rel, scope.chrome_fn
-                ),
-            ));
-        }
-        let named = wire_names.iter().find(|(v, _, _)| v == variant);
-        match named {
-            None => out.push(Diagnostic::at(
-                "R3",
-                event,
-                *line,
-                format!(
-                    "variant `{variant}` has no wire name in `{}`",
-                    scope.name_fn
-                ),
-            )),
-            Some((_, wire, _)) => {
-                let covered = fixtures.iter().any(|f| {
-                    f.raw
-                        .iter()
-                        .any(|l| l.contains(&format!("\"{wire}\"")) || contains_word(l, variant))
-                });
-                if !covered {
-                    out.push(Diagnostic::at(
-                        "R3",
-                        event,
-                        *line,
-                        format!(
-                            "variant `{variant}` (wire name \"{wire}\") appears in no \
-                             trace fixture test"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
 
 /// 1-based lines covered by functions with the given name.
 fn fn_lines(file: &SourceFile, name: &str) -> Vec<usize> {
@@ -600,198 +362,6 @@ pub fn r6_bounded_capacity(files: &[SourceFile], graph: &Graph, out: &mut Vec<Di
                         ),
                     ));
                 }
-            }
-        }
-    }
-}
-
-/// R7 scope: the crates whose structs carry wire sequence/epoch state.
-#[derive(Debug, Clone)]
-pub struct SeqHygieneScope {
-    /// Crate names scanned for wire-seq fields and their arithmetic.
-    pub crates: Vec<String>,
-}
-
-/// Whether a struct field looks like wire sequence/epoch state: a narrow
-/// unsigned integer named like a sequence or epoch counter. 64-bit fields
-/// are absolute counters that cannot wrap in practice and are exempt.
-fn is_wire_seq_field(name: &str, ty: &str) -> bool {
-    let narrow = matches!(ty, "u8" | "u16" | "u32");
-    let seq_like = name == "seq"
-        || name.ends_with("_seq")
-        || name == "epoch"
-        || name.ends_with("_epoch")
-        || name.starts_with("epoch_");
-    narrow && seq_like
-}
-
-/// R7 — sequence/epoch arithmetic hygiene: wire-seq fields wrap mod the
-/// sequence space, so bare `+`/`-` on them is a correctness bug waiting
-/// for a rollover. Lines already using `wrapping_*`, `checked_*`,
-/// `saturating_*`, or an explicit `%` are fine.
-pub fn r7_seq_hygiene(files: &[SourceFile], scope_files: &[usize], out: &mut Vec<Diagnostic>) {
-    // Collect the wire-seq vocabulary across the scoped files first, so a
-    // field declared in `core` is tracked when used in `wire`.
-    let mut tracked: Vec<String> = Vec::new();
-    for &fi in scope_files {
-        for (_, field, ty, line) in files[fi].struct_fields_all() {
-            if files[fi].is_test_line(line) {
-                continue;
-            }
-            if is_wire_seq_field(&field, &ty) && !tracked.contains(&field) {
-                tracked.push(field);
-            }
-        }
-    }
-    if tracked.is_empty() {
-        return;
-    }
-    for &fi in scope_files {
-        let file = &files[fi];
-        for (idx, line) in file.code.iter().enumerate() {
-            let line_no = idx + 1;
-            if file.is_test_line(line_no) {
-                continue;
-            }
-            if line.contains("wrapping_")
-                || line.contains("checked_")
-                || line.contains("saturating_")
-                || line.contains('%')
-            {
-                continue;
-            }
-            for field in &tracked {
-                if !contains_word(line, field) {
-                    continue;
-                }
-                if bare_arith_on(line, field) {
-                    out.push(Diagnostic::at(
-                        "R7",
-                        file,
-                        line_no,
-                        format!(
-                            "bare `+`/`-` arithmetic on wire-seq field `{field}`; \
-                             use `wrapping_*` or take the result mod the sequence \
-                             space explicitly"
-                        ),
-                    ));
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// Whether `word` appears on `line` directly adjacent (modulo spaces) to a
-/// bare `+` or `-` operator (including `+=`/`-=`), excluding `->` arrows.
-fn bare_arith_on(line: &str, word: &str) -> bool {
-    let b = line.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(word) {
-        let at = from + pos;
-        let end = at + word.len();
-        let before_ok = at == 0
-            || !line[..at]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after_ok = !line[end..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            // Look at the nearest non-space byte on each side.
-            let mut i = end;
-            while i < b.len() && b[i] == b' ' {
-                i += 1;
-            }
-            if i < b.len() && (b[i] == b'+' || (b[i] == b'-' && b.get(i + 1) != Some(&b'>'))) {
-                return true;
-            }
-            // `x + field` / `x - field` / unary minus all count. An `->`
-            // arrow never lands here: its `>` would be the nearest byte.
-            let mut j = at;
-            while j > 0 && b[j - 1] == b' ' {
-                j -= 1;
-            }
-            if j > 0 && (b[j - 1] == b'+' || b[j - 1] == b'-') {
-                return true;
-            }
-        }
-        from = at + word.len().max(1);
-    }
-    false
-}
-
-/// R8 scope: protocol enums whose matches must stay exhaustive.
-#[derive(Debug, Clone)]
-pub struct WildcardScope {
-    /// Crate names the rule applies in (the protocol crates).
-    pub crates: Vec<String>,
-    /// Enum names (`WireFrame`, `EventKind`, …).
-    pub enums: Vec<String>,
-}
-
-/// R8 — no wildcard arms in protocol-enum matches: a `_ =>` arm in a
-/// `match` over a protocol enum silently absorbs future variants; new
-/// variants must fail loudly at compile (or lint) time instead.
-pub fn r8_no_wildcard(file: &SourceFile, scope: &WildcardScope, out: &mut Vec<Diagnostic>) {
-    for (idx, line) in file.code.iter().enumerate() {
-        if file.is_test_line(idx + 1) || !contains_word(line, "match") {
-            continue;
-        }
-        // Walk the match block: arm patterns sit at relative depth 1.
-        let mut rel = 0usize;
-        let mut entered = false;
-        let mut names_protocol_enum = false;
-        let mut wildcard_lines: Vec<usize> = Vec::new();
-        'block: for (j, body_line) in file.code.iter().enumerate().skip(idx) {
-            if entered && rel == 1 && j > idx {
-                let trimmed = body_line.trim_start();
-                let pattern = trimmed.split("=>").next().unwrap_or(trimmed);
-                if scope
-                    .enums
-                    .iter()
-                    .any(|e| pattern.contains(&format!("{e}::")))
-                {
-                    names_protocol_enum = true;
-                }
-                if trimmed.starts_with("_ =>")
-                    || trimmed.starts_with("_ if ")
-                    || trimmed.starts_with("| _ =>")
-                {
-                    wildcard_lines.push(j + 1);
-                }
-            }
-            for ch in body_line.chars() {
-                match ch {
-                    '{' => {
-                        rel += 1;
-                        entered = true;
-                    }
-                    '}' => {
-                        rel = rel.saturating_sub(1);
-                        if entered && rel == 0 {
-                            break 'block;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if names_protocol_enum {
-            for line_no in wildcard_lines {
-                out.push(Diagnostic::at(
-                    "R8",
-                    file,
-                    line_no,
-                    format!(
-                        "wildcard `_` arm in a match over a protocol enum \
-                         ({}); enumerate the remaining variants so new ones \
-                         fail loudly",
-                        scope.enums.join("/")
-                    ),
-                ));
             }
         }
     }
@@ -999,31 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn r2_flags_clock_rng_and_hash() {
-        let f = file(
-            "use std::time::Instant;\nuse std::collections::HashMap;\n\
-             fn f() { let _ = rand::random::<u8>(); }\n",
-        );
-        let scope = DeterminismScope {
-            hash_dir_prefixes: vec!["crates/x/".into()],
-        };
-        let mut out = Vec::new();
-        r2_determinism(&f, &scope, &mut out);
-        assert_eq!(out.len(), 3, "{out:?}");
-    }
-
-    #[test]
-    fn r2_hash_ban_is_scoped() {
-        let f = file("use std::collections::HashMap;\n");
-        let scope = DeterminismScope {
-            hash_dir_prefixes: vec!["crates/other/".into()],
-        };
-        let mut out = Vec::new();
-        r2_determinism(&f, &scope, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn r5_flags_allocs_in_alloc_demanding_closure_only() {
         let f = file(
             "fn setup() -> Vec<u8> { Vec::with_capacity(8) }\n\
@@ -1077,73 +622,6 @@ mod tests {
         assert_eq!(out[0].rule, "R6");
         assert!(out[0].message.contains("`ring`"));
         assert!(out[0].message.contains("`S::hot`"));
-    }
-
-    #[test]
-    fn r7_bare_arith_on_seq_fields() {
-        let f = file(
-            "struct D {\n    seq: u8,\n    next_epoch: u16,\n    total: u64,\n}\n\
-             impl D {\n\
-                 fn bump(&mut self) {\n\
-                     self.seq += 1;\n\
-                     self.seq = self.seq.wrapping_add(1);\n\
-                     self.next_epoch = self.next_epoch + 1;\n\
-                     self.total += 1;\n\
-                 }\n\
-             }\n",
-        );
-        let files = [f];
-        let mut out = Vec::new();
-        r7_seq_hygiene(&files, &[0], &mut out);
-        assert_eq!(out.len(), 2, "{out:?}");
-        assert!(out.iter().all(|d| d.rule == "R7"));
-        assert_eq!(out[0].line, 8);
-        assert_eq!(out[1].line, 10);
-    }
-
-    #[test]
-    fn r7_modulo_and_wrapping_lines_are_exempt() {
-        let f = file(
-            "struct D {\n    seq: u8,\n}\n\
-             impl D {\n\
-                 fn ok(&mut self) {\n\
-                     self.seq = (self.seq + 1) % 64;\n\
-                     self.seq = self.seq.wrapping_sub(2);\n\
-                 }\n\
-             }\n",
-        );
-        let files = [f];
-        let mut out = Vec::new();
-        r7_seq_hygiene(&files, &[0], &mut out);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn r8_wildcard_on_protocol_enum() {
-        let f = file(
-            "fn classify(w: Wire) -> u8 {\n\
-                 match w {\n\
-                     Wire::Data { .. } => 0,\n\
-                     Wire::Ack { .. } => 1,\n\
-                     _ => 9,\n\
-                 }\n\
-             }\n\
-             fn other(n: u8) -> u8 {\n\
-                 match n {\n\
-                     0 => 1,\n\
-                     _ => 0,\n\
-                 }\n\
-             }\n",
-        );
-        let scope = WildcardScope {
-            crates: vec!["x".into()],
-            enums: vec!["Wire".into()],
-        };
-        let mut out = Vec::new();
-        r8_no_wildcard(&f, &scope, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].rule, "R8");
-        assert_eq!(out[0].line, 5);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! * **function spans** — `fn name { … }` line ranges, so rules can scope
 //!   themselves to designated hot-path functions,
 //!
-//! plus small item parsers (enum variants, struct fields, const values)
-//! used by the trace-parity and config-coverage rules.
+//! plus a struct-field parser used by the config-coverage rule.
 
 use std::fs;
 use std::io;
@@ -143,67 +142,6 @@ impl SourceFile {
             .min_by_key(|s| s.end - s.start)
     }
 
-    /// Every struct declared with a brace body, with its typed fields:
-    /// `(struct_name, field_name, type_text, 1-based line)`. Includes
-    /// private fields.
-    pub fn struct_fields_all(&self) -> Vec<(String, String, String, usize)> {
-        let mut out = Vec::new();
-        for (idx, line) in self.code.iter().enumerate() {
-            if !contains_word(line, "struct") {
-                continue;
-            }
-            let Some(pos) = line.find("struct") else {
-                continue;
-            };
-            let name: String = line[pos + 6..]
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if name.is_empty() {
-                continue;
-            }
-            // Walk the brace body; bail on `;` before `{` (tuple struct).
-            let mut depth = 0usize;
-            let mut entered = false;
-            'walk: for (j, body_line) in self.code.iter().enumerate().skip(idx) {
-                if entered && depth == 1 {
-                    let trimmed = body_line.trim();
-                    let field = trimmed
-                        .strip_prefix("pub(crate) ")
-                        .or_else(|| trimmed.strip_prefix("pub "))
-                        .unwrap_or(trimmed);
-                    let ident: String = field
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect();
-                    let rest = field[ident.len()..].trim_start();
-                    if !ident.is_empty() && rest.starts_with(':') {
-                        let ty = rest[1..].trim().trim_end_matches(',').trim();
-                        out.push((name.clone(), ident, ty.to_string(), j + 1));
-                    }
-                }
-                for ch in body_line.chars() {
-                    match ch {
-                        '{' => {
-                            depth += 1;
-                            entered = true;
-                        }
-                        '}' => {
-                            depth = depth.saturating_sub(1);
-                            if entered && depth == 0 {
-                                break 'walk;
-                            }
-                        }
-                        ';' if !entered => break 'walk,
-                        _ => {}
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Whether 1-based `line` is test code.
     pub fn is_test_line(&self, line: usize) -> bool {
         self.test
@@ -217,82 +155,25 @@ impl SourceFile {
         self.fns.iter().filter(move |f| f.name == name)
     }
 
-    /// Per-line mask of the union of the named functions' spans. Functions
-    /// not found in the file are reported back so rules can flag config
-    /// drift instead of silently scanning nothing.
-    pub fn fn_mask(&self, names: &[String]) -> (Vec<bool>, Vec<String>) {
-        let mut mask = vec![false; self.raw.len()];
-        let mut missing = Vec::new();
-        for name in names {
-            let mut found = false;
-            for span in self.fns_named(name) {
-                found = true;
-                for flag in mask
-                    .iter_mut()
-                    .take(span.end.min(self.raw.len()))
-                    .skip(span.start.saturating_sub(1))
-                {
-                    *flag = true;
-                }
-            }
-            if !found {
-                missing.push(name.clone());
-            }
-        }
-        (mask, missing)
-    }
-
-    /// Variant names of `enum name`, with the 1-based line each starts on.
-    pub fn enum_variants(&self, name: &str) -> Option<Vec<(String, usize)>> {
-        self.item_members(&format!("enum {name}"), |trimmed| {
-            let ident: String = trimmed
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if ident.is_empty() || !ident.chars().next().is_some_and(char::is_alphabetic) {
-                None
-            } else {
-                Some(ident)
-            }
-        })
-    }
-
     /// Public field names of `struct name`, with their 1-based lines.
     pub fn struct_fields(&self, name: &str) -> Option<Vec<(String, usize)>> {
-        self.item_members(&format!("struct {name}"), |trimmed| {
-            let rest = trimmed.strip_prefix("pub ")?;
-            let ident: String = rest
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                .collect();
-            if ident.is_empty() || !rest[ident.len()..].trim_start().starts_with(':') {
-                None
-            } else {
-                Some(ident)
-            }
-        })
-    }
-
-    /// Walks the brace block of the item introduced by `header`, yielding
-    /// one entry per depth-1 line `extract` accepts.
-    fn item_members(
-        &self,
-        header: &str,
-        extract: impl Fn(&str) -> Option<String>,
-    ) -> Option<Vec<(String, usize)>> {
+        let header = format!("struct {name}");
         let start = self
             .code
             .iter()
-            .position(|line| contains_phrase(line, header))?;
-        let mut members = Vec::new();
+            .position(|line| contains_phrase(line, &header))?;
+        let mut fields = Vec::new();
         let mut depth = 0usize;
         let mut entered = false;
         for (idx, line) in self.code.iter().enumerate().skip(start) {
             if entered && depth == 1 {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() && !trimmed.starts_with('#') {
-                    if let Some(member) = extract(trimmed) {
-                        members.push((member, idx + 1));
+                if let Some(rest) = line.trim().strip_prefix("pub ") {
+                    let ident: String = rest
+                        .chars()
+                        .take_while(|c| c.is_alphanumeric() || *c == '_')
+                        .collect();
+                    if !ident.is_empty() && rest[ident.len()..].trim_start().starts_with(':') {
+                        fields.push((ident, idx + 1));
                     }
                 }
             }
@@ -305,111 +186,14 @@ impl SourceFile {
                     '}' => {
                         depth = depth.saturating_sub(1);
                         if entered && depth == 0 {
-                            return Some(members);
+                            return Some(fields);
                         }
                     }
                     _ => {}
                 }
             }
         }
-        Some(members)
-    }
-
-    /// The integer value of `const NAME` (any type), if declared.
-    pub fn const_value(&self, name: &str) -> Option<(u64, usize)> {
-        let phrase = format!("const {name}");
-        for (idx, line) in self.code.iter().enumerate() {
-            if !contains_phrase(line, &phrase) {
-                continue;
-            }
-            let eq = line.find('=')?;
-            let digits: String = line[eq + 1..]
-                .chars()
-                .skip_while(|c| c.is_whitespace())
-                .take_while(char::is_ascii_digit)
-                .collect();
-            if let Ok(v) = digits.parse() {
-                return Some((v, idx + 1));
-            }
-        }
-        None
-    }
-
-    /// String literals (unescaped content) appearing on raw lines
-    /// `start..=end` (1-based). Good enough for `match` arms mapping
-    /// variants to wire names. Handles plain and raw (`r#"…"#`) strings
-    /// that open and close on one line, and stops at `//` comments.
-    pub fn string_literals_in(&self, start: usize, end: usize) -> Vec<(String, usize)> {
-        let mut out = Vec::new();
-        for line_no in start..=end.min(self.raw.len()) {
-            let line = &self.raw[line_no - 1];
-            let b = line.as_bytes();
-            let mut i = 0;
-            while i < b.len() {
-                if b[i] == b'/' && b.get(i + 1) == Some(&b'/') {
-                    break;
-                }
-                if let Some((hashes, quote)) = raw_string_at(b, i) {
-                    let close = format!("\"{}", "#".repeat(hashes));
-                    let content_start = quote + 1;
-                    match line[content_start..].find(&close) {
-                        Some(rel) => {
-                            out.push((
-                                line[content_start..content_start + rel].to_string(),
-                                line_no,
-                            ));
-                            i = content_start + rel + close.len();
-                        }
-                        None => break,
-                    }
-                    continue;
-                }
-                if b[i] == b'\'' {
-                    if b.get(i + 1) == Some(&b'\\') {
-                        let mut j = i + 3;
-                        while j < b.len() && b[j] != b'\'' {
-                            j += 1;
-                        }
-                        i = (j + 1).min(b.len());
-                        continue;
-                    }
-                    if let Some(n) = char_literal_len(b, i) {
-                        i += n;
-                        continue;
-                    }
-                }
-                if b[i] == b'"' {
-                    let mut lit = String::new();
-                    let mut chars = line[i + 1..].chars();
-                    let mut consumed = i + 1;
-                    loop {
-                        match chars.next() {
-                            None => break,
-                            Some('"') => {
-                                consumed += 1;
-                                break;
-                            }
-                            Some('\\') => {
-                                consumed += 1;
-                                if let Some(esc) = chars.next() {
-                                    lit.push(esc);
-                                    consumed += esc.len_utf8();
-                                }
-                            }
-                            Some(other) => {
-                                lit.push(other);
-                                consumed += other.len_utf8();
-                            }
-                        }
-                    }
-                    out.push((lit, line_no));
-                    i = consumed;
-                    continue;
-                }
-                i += 1;
-            }
-        }
-        out
+        Some(fields)
     }
 }
 
@@ -1045,16 +829,9 @@ mod tests {
     }
 
     #[test]
-    fn enum_and_struct_parsing() {
-        let src = "pub enum Kind {\n    A { x: u8 },\n    B,\n}\npub struct Cfg {\n    pub one: u8,\n    pub two: bool,\n    hidden: u8,\n}\n";
+    fn struct_parsing_keeps_public_fields() {
+        let src = "pub struct Cfg {\n    pub one: u8,\n    pub two: bool,\n    hidden: u8,\n}\n";
         let f = SourceFile::parse("x.rs", src);
-        let variants: Vec<String> = f
-            .enum_variants("Kind")
-            .unwrap()
-            .into_iter()
-            .map(|(v, _)| v)
-            .collect();
-        assert_eq!(variants, vec!["A", "B"]);
         let fields: Vec<String> = f
             .struct_fields("Cfg")
             .unwrap()
@@ -1062,17 +839,6 @@ mod tests {
             .map(|(v, _)| v)
             .collect();
         assert_eq!(fields, vec!["one", "two"]);
-    }
-
-    #[test]
-    fn const_and_literals() {
-        let src = "pub const COUNT: usize = 21;\nfn name() { let s = \"wire_name\"; }\n";
-        let f = SourceFile::parse("x.rs", src);
-        assert_eq!(f.const_value("COUNT"), Some((21, 1)));
-        assert_eq!(
-            f.string_literals_in(2, 2),
-            vec![("wire_name".to_string(), 2)]
-        );
     }
 
     #[test]
@@ -1132,18 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn string_literals_include_raw_strings() {
-        let src = "fn name() { (\"plain\", r#\"raw \" lit\"#, r\"zero\") }\n";
-        let f = SourceFile::parse("x.rs", src);
-        let lits: Vec<String> = f
-            .string_literals_in(1, 1)
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect();
-        assert_eq!(lits, vec!["plain", "raw \" lit", "zero"]);
-    }
-
-    #[test]
     fn impl_spans_parse_inherent_trait_and_generic() {
         let src = "\
 struct A;\n\
@@ -1188,25 +942,6 @@ impl A {\n\
         assert!(by_name("method").has_self());
         assert!(by_name("owner").has_self());
         assert!(!by_name("assoc").has_self());
-    }
-
-    #[test]
-    fn struct_fields_all_reads_types_and_private_fields() {
-        let src = "pub struct Cfg {\n    pub seq: u8,\n    epoch: u32,\n    items: Vec<usize>,\n}\npub struct Key(u32);\n";
-        let f = SourceFile::parse("x.rs", src);
-        let fields: Vec<(String, String, String)> = f
-            .struct_fields_all()
-            .into_iter()
-            .map(|(s, n, t, _)| (s, n, t))
-            .collect();
-        assert_eq!(
-            fields,
-            vec![
-                ("Cfg".into(), "seq".into(), "u8".into()),
-                ("Cfg".into(), "epoch".into(), "u32".into()),
-                ("Cfg".into(), "items".into(), "Vec<usize>".into()),
-            ]
-        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 #![cfg(feature = "trace")]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
@@ -82,7 +82,7 @@ fn run_fabric(
 
 /// Asserts per-cause equality between counters and trace events.
 fn assert_parity(fab: &Fabric, trace: &TraceHandle) {
-    let mut by_cause: HashMap<&'static str, u64> = HashMap::new();
+    let mut by_cause: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut total_events = 0u64;
     for ev in trace.snapshot() {
         if let EventKind::Drop { cause, dst, .. } = ev.kind {

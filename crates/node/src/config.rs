@@ -2,7 +2,7 @@
 //! supervision presets every hosted endpoint runs.
 
 use nifdy::NifdyConfig;
-use nifdy_wire::SupervisorConfig;
+use nifdy_wire::{Epoch, SupervisorConfig};
 
 /// Configuration for a [`NifdyNode`](crate::NifdyNode) daemon.
 ///
@@ -30,7 +30,7 @@ pub struct NodeConfig {
     /// daemon process restarted from outside passes the next epoch here so
     /// surviving peers in other processes detect the restart
     /// (see [`Supervisor::with_starting_epoch`](nifdy_wire::Supervisor::with_starting_epoch)).
-    pub initial_epoch: u32,
+    pub initial_epoch: Epoch,
     /// Seed for supervisor backoff jitter (decorrelated per node inside).
     pub seed: u64,
 }
@@ -42,7 +42,7 @@ impl Default for NodeConfig {
             batch: 64,
             protocol: NifdyConfig::mesh(),
             supervisor: SupervisorConfig::default(),
-            initial_epoch: 0,
+            initial_epoch: Epoch::new(0),
             seed: 1,
         }
     }
@@ -74,7 +74,7 @@ impl NodeConfig {
     }
 
     /// Sets the epoch announced by the first incarnation of every endpoint.
-    pub fn with_initial_epoch(mut self, epoch: u32) -> Self {
+    pub fn with_initial_epoch(mut self, epoch: Epoch) -> Self {
         self.initial_epoch = epoch;
         self
     }

@@ -27,7 +27,7 @@ use nifdy::{Delivered, DeliveryFailure, OutboundPacket};
 use nifdy_net::Lane;
 use nifdy_sim::{Cycle, NodeId};
 use nifdy_trace::{MetricsRegistry, TraceHandle};
-use nifdy_wire::{peek_route, BatchTransport, PeerEvent, Supervisor, WireEndpoint};
+use nifdy_wire::{peek_route, BatchTransport, Epoch, PeerEvent, Supervisor, WireEndpoint};
 
 use crate::config::NodeConfig;
 use crate::mux::{shard_of, MuxPort};
@@ -239,7 +239,7 @@ impl<C: BatchTransport> NifdyNode<C> {
     }
 
     /// The epoch `node`'s current (or most recent) incarnation announces.
-    pub fn epoch(&self, node: NodeId) -> u32 {
+    pub fn epoch(&self, node: NodeId) -> Epoch {
         self.slot(node).sup.epoch()
     }
 

@@ -12,8 +12,8 @@ use nifdy_sim::{NodeId, PacketId};
 use nifdy_traffic::Em3dParams;
 use nifdy_wire::conformance::DeliveryLog;
 use nifdy_wire::{
-    encode, peek_route, LoopbackHub, LoopbackTransport, PeerEvent, SupervisorConfig, Transport,
-    WirePacket,
+    encode, peek_route, Epoch, LoopbackHub, LoopbackTransport, PeerEvent, SupervisorConfig,
+    Transport, WirePacket,
 };
 
 #[test]
@@ -187,7 +187,11 @@ fn killed_endpoint_restarts_and_the_workload_completes() {
         1,
         "supervisor restarted node 1"
     );
-    assert_eq!(node.epoch(NodeId::new(1)), 1, "restart bumped the epoch");
+    assert_eq!(
+        node.epoch(NodeId::new(1)),
+        Epoch::new(1),
+        "restart bumped the epoch"
+    );
     assert!(
         events
             .iter()

@@ -35,6 +35,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 mod cycle;
 mod id;

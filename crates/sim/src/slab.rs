@@ -153,7 +153,7 @@ impl<T> Slab<T> {
                     Entry::Vacant { .. } => None, // unreachable: matched Occupied
                 }
             }
-            _ => None,
+            Entry::Occupied { .. } | Entry::Vacant { .. } => None,
         }
     }
 

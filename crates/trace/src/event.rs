@@ -379,11 +379,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Number of `EventKind` variants. Kept next to the enum so a new
-    /// variant cannot land without updating it; `nifdy-lint` (rule R3) and
-    /// the exporter-coverage fixture both cross-check it against the enum.
-    pub const VARIANT_COUNT: usize = 28;
-
     /// Stable event name (JSONL `ev` field and Perfetto slice name).
     pub const fn name(&self) -> &'static str {
         match self {

@@ -412,7 +412,28 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
                     [("args", Json::obj([("packets", Json::u64(outstanding))]))],
                 ));
             }
-            _ => {
+            EventKind::ScalarSend { .. }
+            | EventKind::BulkSend { .. }
+            | EventKind::AckSend { .. }
+            | EventKind::EligStall { .. }
+            | EventKind::BulkRequest { .. }
+            | EventKind::DialogReject { .. }
+            | EventKind::Retransmit { .. }
+            | EventKind::RttSample { .. }
+            | EventKind::DeliveryFail { .. }
+            | EventKind::Drop { .. }
+            | EventKind::Deliver { .. }
+            | EventKind::ScalarAccept { .. }
+            | EventKind::BulkAccept { .. }
+            | EventKind::FrameSend { .. }
+            | EventKind::FrameRecv { .. }
+            | EventKind::FrameReject { .. }
+            | EventKind::WatchdogFire { .. }
+            | EventKind::WireFault { .. }
+            | EventKind::Heartbeat { .. }
+            | EventKind::PeerDown { .. }
+            | EventKind::PeerRestart { .. }
+            | EventKind::EndpointRestart { .. } => {
                 out.push(chrome_event(
                     name,
                     "i",

@@ -46,42 +46,45 @@ impl Json {
 
     /// The value at `key` if this is an object containing it.
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(map) => map.get(key),
-            _ => None,
+        if let Json::Obj(map) = self {
+            map.get(key)
+        } else {
+            None
         }
     }
 
     /// The elements if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
+        if let Json::Arr(items) = self {
+            Some(items)
+        } else {
+            None
         }
     }
 
     /// The string contents if this is a string.
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
+        if let Json::Str(s) = self {
+            Some(s)
+        } else {
+            None
         }
     }
 
     /// The numeric value if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
+        if let Json::Num(v) = self {
+            Some(*v)
+        } else {
+            None
         }
     }
 
     /// The numeric value as `u64` if this is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Some(*v as u64),
-            _ => None,
-        }
+        self.as_f64()
+            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
+            .map(|v| v as u64)
     }
 
     /// Renders this value as compact JSON.

@@ -61,6 +61,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 mod event;
 pub mod export;

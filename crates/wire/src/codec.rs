@@ -310,6 +310,47 @@ impl WirePacket {
     }
 }
 
+/// An endpoint incarnation number: 32 bits on the wire, bumped on every
+/// restart, and wrapping like the §6.2 sequence space does.
+///
+/// Its only operations are the wrapping [`next`](Epoch::next) and the
+/// serial-number comparison [`is_after`](Epoch::is_after) (RFC 1982), so
+/// a restart from `u32::MAX` to 0 still reads as a restart. There is no
+/// `+`, `-` or `<`:
+///
+/// ```compile_fail,E0369
+/// let epoch = nifdy_wire::Epoch::new(4);
+/// let _ = epoch + 1;
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Epoch(u32);
+
+impl Epoch {
+    /// The epoch carrying raw wire value `raw`.
+    pub const fn new(raw: u32) -> Self {
+        Epoch(raw)
+    }
+
+    /// The raw wire value.
+    pub const fn get(self) -> u32 {
+        self.0
+    }
+
+    /// The following incarnation's epoch; `u32::MAX` wraps to 0.
+    #[must_use]
+    pub const fn next(self) -> Self {
+        Epoch(self.0.wrapping_add(1))
+    }
+
+    /// Whether `self` is a later incarnation than `earlier` in serial
+    /// number arithmetic: it lies less than half the space ahead. An epoch
+    /// exactly half the space away is ordered neither way.
+    pub const fn is_after(self, earlier: Epoch) -> bool {
+        let ahead = self.0.wrapping_sub(earlier.0);
+        ahead != 0 && ahead < 1 << 31
+    }
+}
+
 /// A liveness heartbeat: "node `src`, incarnation `epoch`, is alive". Sent
 /// periodically by supervised endpoints on the reply lane; an epoch jump
 /// tells the peer the sender restarted and its dialog state is gone.
@@ -320,7 +361,7 @@ pub struct Heartbeat {
     /// The node being kept alive.
     pub dst: NodeId,
     /// The sender's incarnation number, bumped on every restart.
-    pub epoch: u32,
+    pub epoch: Epoch,
 }
 
 /// Everything a byte frame can decode into: a protocol packet or a
@@ -489,7 +530,7 @@ pub fn encode_heartbeat(hb: &Heartbeat) -> Vec<u8> {
     buf.push(HEARTBEAT_FLAGS);
     buf.extend_from_slice(&node_bytes(hb.dst));
     buf.extend_from_slice(&node_bytes(hb.src));
-    buf.extend_from_slice(&hb.epoch.to_le_bytes());
+    buf.extend_from_slice(&hb.epoch.get().to_le_bytes());
     append_checksum(&mut buf);
     buf
 }
@@ -590,7 +631,7 @@ fn decode_heartbeat_body(bytes: &[u8]) -> Result<Heartbeat, WireError> {
     Ok(Heartbeat {
         dst: read_node(bytes, 1),
         src: read_node(bytes, 3),
-        epoch: u32::from_le_bytes(arr_at(bytes, 5)),
+        epoch: Epoch::new(u32::from_le_bytes(arr_at(bytes, 5))),
     })
 }
 
@@ -756,7 +797,7 @@ mod tests {
         let hb = Heartbeat {
             src: NodeId::new(3),
             dst: NodeId::new(1_000),
-            epoch: 9,
+            epoch: Epoch::new(9),
         };
         let frame = encode_heartbeat(&hb);
         assert_eq!(peek_route(&frame), Some((NodeId::new(1_000), Lane::Reply)));
@@ -992,7 +1033,7 @@ mod tests {
         let hb = Heartbeat {
             src: NodeId::new(9),
             dst: NodeId::new(65_535),
-            epoch: 0xDEAD_BEEF,
+            epoch: Epoch::new(0xDEAD_BEEF),
         };
         let bytes = encode_heartbeat(&hb);
         assert_eq!(bytes.len(), HEARTBEAT_FRAME_LEN);
@@ -1025,7 +1066,7 @@ mod tests {
         let hb = encode_heartbeat(&Heartbeat {
             src: NodeId::new(0),
             dst: NodeId::new(1),
-            epoch: 7,
+            epoch: Epoch::new(7),
         });
         for cut in 0..hb.len() {
             assert!(decode_frame(&hb[..cut]).is_err(), "prefix {cut} decoded");

@@ -307,7 +307,30 @@ fn lifecycle_projection(trace: &TraceHandle, nodes: usize) -> Vec<NodeLifecycle>
             EventKind::DialogGrant { .. }
             | EventKind::DialogReject { .. }
             | EventKind::DialogClose { .. } => slot.receiver.push(name),
-            _ => {}
+            // Everything else is outside the dialog lifecycle.
+            EventKind::ScalarSend { .. }
+            | EventKind::BulkSend { .. }
+            | EventKind::AckSend { .. }
+            | EventKind::OptInsert { .. }
+            | EventKind::OptClear { .. }
+            | EventKind::EligStall { .. }
+            | EventKind::WindowAdvance { .. }
+            | EventKind::Retransmit { .. }
+            | EventKind::RttSample { .. }
+            | EventKind::DeliveryFail { .. }
+            | EventKind::Drop { .. }
+            | EventKind::Deliver { .. }
+            | EventKind::ScalarAccept { .. }
+            | EventKind::BulkAccept { .. }
+            | EventKind::FrameSend { .. }
+            | EventKind::FrameRecv { .. }
+            | EventKind::FrameReject { .. }
+            | EventKind::WatchdogFire { .. }
+            | EventKind::WireFault { .. }
+            | EventKind::Heartbeat { .. }
+            | EventKind::PeerDown { .. }
+            | EventKind::PeerRestart { .. }
+            | EventKind::EndpointRestart { .. } => {}
         }
     }
     per_node

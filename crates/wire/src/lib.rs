@@ -23,6 +23,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
 
 pub mod codec;
 pub mod conformance;
@@ -34,8 +38,8 @@ mod transport;
 mod udp;
 
 pub use codec::{
-    decode, decode_frame, encode, encode_heartbeat, peek_route, Heartbeat, WireError, WireFrame,
-    WirePacket, WireSource,
+    decode, decode_frame, encode, encode_heartbeat, peek_route, Epoch, Heartbeat, WireError,
+    WireFrame, WirePacket, WireSource,
 };
 pub use endpoint::WireEndpoint;
 pub use fault::{FaultyTransport, WireFaultConfig, WireFaultStats};

@@ -14,7 +14,7 @@ use nifdy_net::{Lane, NetPort, Packet};
 use nifdy_sim::{Cycle, NodeId, PacketId};
 use nifdy_trace::{trace_event, EventKind, TraceHandle};
 
-use crate::codec::{self, Heartbeat, WireFrame, WirePacket, WireSource};
+use crate::codec::{self, Epoch, Heartbeat, WireFrame, WirePacket, WireSource};
 use crate::transport::Transport;
 
 /// One node's [`NetPort`] view of a byte [`Transport`].
@@ -102,7 +102,7 @@ impl<T: Transport> TransportPort<T> {
     /// bypass the serialization budget (an 11-byte beacon every few hundred
     /// cycles is negligible next to a data word per cycle, and charging it
     /// would perturb the §2.4 bandwidth comparison for every chaos run).
-    pub fn send_heartbeat(&mut self, dst: NodeId, epoch: u32) {
+    pub fn send_heartbeat(&mut self, dst: NodeId, epoch: Epoch) {
         let me = self.transport.node();
         let now = self.transport.now();
         let hb = Heartbeat {

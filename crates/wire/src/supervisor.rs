@@ -6,11 +6,12 @@
 //! model. A real endpoint crashes. This module layers the recovery protocol
 //! on top of [`WireEndpoint`] without touching the protocol machine:
 //!
-//! * every endpoint incarnation carries an **epoch**, announced in periodic
+//! * every endpoint incarnation carries an [`Epoch`], announced in periodic
 //!   [`Heartbeat`](crate::Heartbeat) control frames on the reply lane;
 //! * a [`SupervisedEndpoint`] tracks each watched peer's last-heard cycle
 //!   and epoch: prolonged silence flags the peer down (a `PeerDown` trace
-//!   event), and an **epoch increase** proves the peer restarted — the
+//!   event), and a **later epoch** (serial-number order, so `u32::MAX` → 0
+//!   counts) proves the peer restarted — the
 //!   survivor then calls [`NifdyUnit::reset_peer`](nifdy::NifdyUnit::reset_peer), tearing down dialogs
 //!   entangled with the dead incarnation so both sides can re-handshake
 //!   from a clean slate (`PeerRestart`);
@@ -29,6 +30,7 @@ use std::collections::BTreeMap;
 use nifdy_sim::{Cycle, NodeId, SimRng, Wakeup};
 use nifdy_trace::{trace_event, EventKind, TraceHandle};
 
+use crate::codec::Epoch;
 use crate::endpoint::WireEndpoint;
 use crate::transport::Transport;
 
@@ -141,13 +143,13 @@ pub enum PeerEvent {
         /// Cycles since its last heartbeat.
         silent_for: u64,
     },
-    /// A watched peer reappeared with a higher epoch: it crashed and
+    /// A watched peer reappeared with a later epoch: it crashed and
     /// restarted, and the entangled protocol state has been reset.
     Restarted {
         /// The restarted peer.
         peer: NodeId,
         /// Its new incarnation's epoch.
-        epoch: u32,
+        epoch: Epoch,
     },
 }
 
@@ -155,7 +157,7 @@ pub enum PeerEvent {
 #[derive(Debug, Clone, Copy)]
 struct PeerState {
     last_heard: Cycle,
-    epoch: u32,
+    epoch: Epoch,
     down: bool,
 }
 
@@ -166,7 +168,7 @@ struct PeerState {
 pub struct SupervisedEndpoint<T: Transport> {
     ep: WireEndpoint<T>,
     cfg: SupervisorConfig,
-    epoch: u32,
+    epoch: Epoch,
     watched: Vec<NodeId>,
     peers: BTreeMap<NodeId, PeerState>,
     /// When the last heartbeat broadcast went out (`None` = never, so the
@@ -182,7 +184,7 @@ impl<T: Transport> SupervisedEndpoint<T> {
     /// # Panics
     ///
     /// Panics if `cfg` fails [`SupervisorConfig::validate`].
-    pub fn new(ep: WireEndpoint<T>, cfg: SupervisorConfig, epoch: u32) -> Self {
+    pub fn new(ep: WireEndpoint<T>, cfg: SupervisorConfig, epoch: Epoch) -> Self {
         if let Err(why) = cfg.validate() {
             panic!("invalid supervisor config: {why}");
         }
@@ -206,7 +208,7 @@ impl<T: Transport> SupervisedEndpoint<T> {
     }
 
     /// This incarnation's epoch.
-    pub fn epoch(&self) -> u32 {
+    pub fn epoch(&self) -> Epoch {
         self.epoch
     }
 
@@ -282,13 +284,13 @@ impl<T: Transport> SupervisedEndpoint<T> {
                 me,
                 EventKind::Heartbeat {
                     peer: hb.src,
-                    epoch: hb.epoch,
+                    epoch: hb.epoch.get(),
                     sent: false,
                 }
             );
             match self.peers.get_mut(&hb.src) {
                 Some(state) => {
-                    if hb.epoch > state.epoch {
+                    if hb.epoch.is_after(state.epoch) {
                         // The peer provably restarted: everything our unit
                         // remembers about the old incarnation is hazardous.
                         trace_event!(
@@ -297,7 +299,7 @@ impl<T: Transport> SupervisedEndpoint<T> {
                             me,
                             EventKind::PeerRestart {
                                 peer: hb.src,
-                                epoch: hb.epoch,
+                                epoch: hb.epoch.get(),
                             }
                         );
                         self.ep.unit_mut().reset_peer(hb.src);
@@ -346,7 +348,7 @@ impl<T: Transport> SupervisedEndpoint<T> {
                 me,
                 EventKind::Heartbeat {
                     peer,
-                    epoch,
+                    epoch: epoch.get(),
                     sent: true,
                 }
             );
@@ -386,7 +388,7 @@ pub struct Supervisor<T: Transport, F: FnMut() -> WireEndpoint<T>> {
     cfg: SupervisorConfig,
     watched: Vec<NodeId>,
     ep: Option<SupervisedEndpoint<T>>,
-    epoch: u32,
+    epoch: Epoch,
     restarts: u32,
     restart_at: Option<(Cycle, u64)>,
     rng: SimRng,
@@ -412,13 +414,13 @@ impl<T: Transport, F: FnMut() -> WireEndpoint<T>> Supervisor<T, F> {
     ///
     /// Panics if `cfg` fails [`SupervisorConfig::validate`].
     pub fn new(cfg: SupervisorConfig, watched: Vec<NodeId>, factory: F, seed: u64) -> Self {
-        Self::with_starting_epoch(cfg, watched, factory, seed, 0)
+        Self::with_starting_epoch(cfg, watched, factory, seed, Epoch::new(0))
     }
 
     /// [`Supervisor::new`], but the first incarnation announces `epoch`
     /// instead of 0. A daemon process restarted *from outside* (its whole
     /// OS process died) passes the next epoch here so surviving peers see
-    /// the epoch increase and reset their entangled protocol state — the
+    /// a later epoch and reset their entangled protocol state — the
     /// in-process restart path bumps the epoch automatically, but a fresh
     /// process has no memory of the old incarnation's count.
     ///
@@ -430,7 +432,7 @@ impl<T: Transport, F: FnMut() -> WireEndpoint<T>> Supervisor<T, F> {
         watched: Vec<NodeId>,
         mut factory: F,
         seed: u64,
-        epoch: u32,
+        epoch: Epoch,
     ) -> Self {
         let ep = Self::incarnate(&mut factory, cfg, &watched, epoch, TraceHandle::off());
         let node = ep.endpoint().node().index() as u64;
@@ -451,7 +453,7 @@ impl<T: Transport, F: FnMut() -> WireEndpoint<T>> Supervisor<T, F> {
         factory: &mut F,
         cfg: SupervisorConfig,
         watched: &[NodeId],
-        epoch: u32,
+        epoch: Epoch,
         trace: TraceHandle,
     ) -> SupervisedEndpoint<T> {
         let mut sup = SupervisedEndpoint::new(factory(), cfg, epoch);
@@ -476,7 +478,7 @@ impl<T: Transport, F: FnMut() -> WireEndpoint<T>> Supervisor<T, F> {
     }
 
     /// The current (or, while down, the most recent) epoch.
-    pub fn epoch(&self) -> u32 {
+    pub fn epoch(&self) -> Epoch {
         self.epoch
     }
 
@@ -539,7 +541,7 @@ impl<T: Transport, F: FnMut() -> WireEndpoint<T>> Supervisor<T, F> {
             return;
         }
         self.restart_at = None;
-        self.epoch = self.epoch.wrapping_add(1);
+        self.epoch = self.epoch.next();
         self.restarts += 1;
         let ep = Self::incarnate(
             &mut self.factory,
@@ -553,7 +555,7 @@ impl<T: Transport, F: FnMut() -> WireEndpoint<T>> Supervisor<T, F> {
             now,
             ep.endpoint().node(),
             EventKind::EndpointRestart {
-                epoch: self.epoch,
+                epoch: self.epoch.get(),
                 backoff,
             }
         );
@@ -563,7 +565,7 @@ impl<T: Transport, F: FnMut() -> WireEndpoint<T>> Supervisor<T, F> {
 
 #[cfg(test)]
 mod tests {
-    use nifdy::NifdyConfig;
+    use nifdy::{NifdyConfig, OutboundPacket};
 
     use super::*;
     use crate::transport::LoopbackHub;
@@ -577,7 +579,7 @@ mod tests {
             let mut s = SupervisedEndpoint::new(
                 WireEndpoint::new(node, NifdyConfig::mesh(), hub.endpoint(node)),
                 cfg,
-                0,
+                Epoch::new(0),
             );
             s.watch(NodeId::new(1 - n));
             s
@@ -651,7 +653,7 @@ mod tests {
             hub.tick();
         }
         // Node 1 "restarts": same transport, bumped epoch.
-        eps[1].epoch = 1;
+        eps[1].epoch = Epoch::new(1);
         let mut restarted = Vec::new();
         for _ in 0..32 {
             for ep in eps.iter_mut() {
@@ -669,10 +671,103 @@ mod tests {
             restarted,
             vec![PeerEvent::Restarted {
                 peer: NodeId::new(1),
-                epoch: 1
+                epoch: Epoch::new(1)
             }],
             "exactly one restart detection per epoch bump"
         );
+    }
+
+    #[test]
+    fn restart_from_the_last_epoch_wraps_and_still_resets_the_peer() {
+        let hub = LoopbackHub::new(2, 1);
+        let cfg = SupervisorConfig::default()
+            .with_heartbeat_every(8)
+            .with_peer_timeout(40)
+            .with_backoff(16, 256, 0);
+        let (crasher, survivor_node) = (NodeId::new(0), NodeId::new(1));
+        let mut survivor = SupervisedEndpoint::new(
+            WireEndpoint::new(
+                survivor_node,
+                NifdyConfig::mesh(),
+                hub.endpoint(survivor_node),
+            ),
+            cfg,
+            Epoch::new(0),
+        );
+        survivor.watch(crasher);
+        let hub2 = hub.clone();
+        let mut sup = Supervisor::with_starting_epoch(
+            cfg,
+            vec![survivor_node],
+            move || WireEndpoint::new(crasher, NifdyConfig::mesh(), hub2.endpoint(crasher)),
+            7,
+            Epoch::new(u32::MAX),
+        );
+        let step_both = |sup: &mut Supervisor<_, _>, survivor: &mut SupervisedEndpoint<_>| {
+            sup.step(hub.now());
+            survivor.step();
+            while survivor.endpoint_mut().poll().is_some() {}
+            hub.tick();
+        };
+
+        // The crasher streams bulk packets until the survivor has granted
+        // it a dialog slot, then dies holding it.
+        for _ in 0..2_000 {
+            if survivor.endpoint().stats().dialogs_granted.get() > 0 {
+                break;
+            }
+            if let Some(ep) = sup.endpoint_mut() {
+                let pkt = OutboundPacket::new(survivor_node, 8).with_bulk(true);
+                let _ = ep.endpoint_mut().try_send(pkt);
+            }
+            step_both(&mut sup, &mut survivor);
+        }
+        assert_eq!(
+            survivor.endpoint().stats().dialogs_granted.get(),
+            1,
+            "dialog granted before the crash"
+        );
+        assert!(survivor.take_peer_events().is_empty());
+        sup.kill(hub.now());
+
+        let mut restarted = Vec::new();
+        for _ in 0..400 {
+            step_both(&mut sup, &mut survivor);
+            restarted.extend(
+                survivor
+                    .take_peer_events()
+                    .into_iter()
+                    .filter(|e| matches!(e, PeerEvent::Restarted { .. })),
+            );
+        }
+        assert_eq!(sup.epoch(), Epoch::new(0), "u32::MAX wraps to 0");
+        assert_eq!(
+            restarted,
+            vec![PeerEvent::Restarted {
+                peer: crasher,
+                epoch: Epoch::new(0)
+            }],
+            "epoch 0 is after u32::MAX"
+        );
+        assert_eq!(
+            survivor.endpoint().stats().dialogs_reclaimed.get(),
+            1,
+            "reset_peer freed the dead incarnation's slot"
+        );
+    }
+
+    #[test]
+    fn epoch_order_is_serial_number_arithmetic() {
+        let max = Epoch::new(u32::MAX);
+        assert_eq!(max.next(), Epoch::new(0));
+        assert!(max.next().is_after(max));
+        assert!(!max.is_after(max.next()));
+        assert!(Epoch::new(5).is_after(Epoch::new(4)));
+        assert!(!Epoch::new(4).is_after(Epoch::new(4)));
+        // Exactly half the space apart is ordered neither way.
+        let half = Epoch::new(1 << 31);
+        assert!(!half.is_after(Epoch::new(0)));
+        assert!(!Epoch::new(0).is_after(half));
     }
 
     #[test]
@@ -691,7 +786,7 @@ mod tests {
             7,
         );
         assert!(sup.is_up());
-        assert_eq!(sup.epoch(), 0);
+        assert_eq!(sup.epoch(), Epoch::new(0));
         sup.kill(Cycle::new(100));
         assert!(!sup.is_up());
         sup.step(Cycle::new(100));
@@ -706,7 +801,7 @@ mod tests {
         }
         let t = restarted_at.expect("restarted within the bound");
         assert!((116..=124).contains(&t), "base 16 + jitter <= 8, got {t}");
-        assert_eq!(sup.epoch(), 1);
+        assert_eq!(sup.epoch(), Epoch::new(1));
         assert_eq!(sup.restarts(), 1);
         // Second crash backs off twice as far.
         sup.kill(Cycle::new(500));

@@ -7,6 +7,11 @@
 //! header (byte 0) classifies received datagrams, mirroring how the paper's
 //! two logical networks can share a physical link.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the peer map is only looked up by key, never iterated, and the socket tests bound real waits with wall-clock deadlines"
+)]
+
 use std::collections::{HashMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};

@@ -11,7 +11,9 @@ use nifdy::{NifdyConfig, OutboundPacket};
 use nifdy_net::UserData;
 use nifdy_sim::{Cycle, NodeId, Wakeup};
 use nifdy_trace::{TraceConfig, TraceHandle};
-use nifdy_wire::{LoopbackHub, SupervisedEndpoint, Supervisor, SupervisorConfig, WireEndpoint};
+use nifdy_wire::{
+    Epoch, LoopbackHub, SupervisedEndpoint, Supervisor, SupervisorConfig, WireEndpoint,
+};
 
 const MESSAGES: u64 = 3;
 const PACKETS_PER_MESSAGE: u32 = 4;
@@ -72,7 +74,7 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
     let mut n0 = SupervisedEndpoint::new(
         WireEndpoint::new(node(0), protocol_config(), hub.endpoint(node(0))),
         sup_cfg,
-        0,
+        Epoch::new(0),
     );
     n0.watch(node(1));
     n0.attach_trace(trace.clone());
@@ -101,7 +103,7 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
     let mut delivered_at_0 = BTreeSet::new();
     let mut n0_failures = 0usize;
     let mut killed = false;
-    let mut last_epoch = 0;
+    let mut last_epoch = Epoch::new(0);
 
     let total = all0.len();
     for cycle in 0..120_000u64 {
@@ -133,7 +135,7 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
         // Node 1: under supervision; a fresh incarnation knows nothing, so
         // its send queue is rebuilt from what provably arrived.
         sup.step(hub.now());
-        if sup.epoch() > last_epoch {
+        if sup.epoch().is_after(last_epoch) {
             last_epoch = sup.epoch();
             refill(&mut remaining1, &all1, &delivered_at_0);
             // The survivor's outbound state may already be poisoned against
@@ -165,7 +167,7 @@ fn killed_endpoint_recovers_and_the_rotation_completes() {
 
     assert!(killed, "the crash was never triggered — workload too small");
     assert_eq!(sup.restarts(), 1, "exactly one restart");
-    assert_eq!(sup.epoch(), 1);
+    assert_eq!(sup.epoch(), Epoch::new(1));
     assert_eq!(
         delivered_at_1.len(),
         total,
@@ -222,7 +224,7 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
     let mut n0 = SupervisedEndpoint::new(
         WireEndpoint::new(node(0), protocol_config(), hub.endpoint(node(0))),
         sup_cfg,
-        0,
+        Epoch::new(0),
     );
     n0.watch(node(1));
     n0.attach_trace(trace.clone());
@@ -249,7 +251,7 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
     let mut delivered_at_1 = BTreeSet::new();
     let mut delivered_at_0 = BTreeSet::new();
     let mut killed = false;
-    let mut last_epoch = 0;
+    let mut last_epoch = Epoch::new(0);
     let mut stepped = 0u64;
 
     let total = all0.len();
@@ -288,7 +290,7 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
         }
 
         sup.step(hub.now());
-        if sup.epoch() > last_epoch {
+        if sup.epoch().is_after(last_epoch) {
             last_epoch = sup.epoch();
             refill(&mut remaining1, &all1, &delivered_at_0);
             refill(&mut remaining0, &all0, &delivered_at_1);
@@ -346,7 +348,7 @@ fn event_driven_driver_recovers_with_fewer_stepped_rounds() {
     assert!(done, "rotation did not complete by cycle {elapsed}");
     assert!(killed, "the crash was never triggered");
     assert_eq!(sup.restarts(), 1, "exactly one restart");
-    assert_eq!(sup.epoch(), 1);
+    assert_eq!(sup.epoch(), Epoch::new(1));
     assert!(
         stepped * 2 < elapsed,
         "skip-ahead stepped {stepped} rounds over {elapsed} cycles — \

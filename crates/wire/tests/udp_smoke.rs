@@ -4,6 +4,11 @@
 //! retransmission machinery must still deliver every packet exactly once,
 //! in sender order.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a wall-clock deadline bounds the wait on real sockets"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
